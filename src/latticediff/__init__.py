@@ -25,7 +25,7 @@ from .generator import (JumpRateTable, assemble_fiber, build_rate_table,
 from .spectral import (diffusion_tensor_formula, diffusion_tensor_hessian,
                        perron_curve, perron_eigenvalue, spectral_gaps,
                        spectral_report, stationary_state)
-from .kmc import EnsembleStats, ParticleState, cgf_estimate, run_ensemble, step
+from .kmc import EnsembleStats, ParticleState, run_ensemble, step
 from .diagrams import (Diagram, DiagramClass, check_lemma_bounds, classify,
                        enumerate_pairings, integrate_unconstrained, mir_shape)
 
@@ -33,7 +33,7 @@ __all__ = [
     "BathProfile", "CorrelationSample", "Diagram", "DiagramClass",
     "DispersionSpec", "EnsembleStats", "GridSpec", "JumpRateTable",
     "ModelConfig", "ParticleState", "QuadSpec", "SpinSystem",
-    "ValidationError", "assemble_fiber", "build_rate_table", "cgf_estimate",
+    "ValidationError", "assemble_fiber", "build_rate_table",
     "check_lemma_bounds", "check_subluminal_decay",
     "check_time_integrability", "classify", "correlation_samples",
     "diffusion_tensor_formula", "diffusion_tensor_hessian",

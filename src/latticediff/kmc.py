@@ -282,6 +282,11 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
     correlation time.  `probes` requests estimates of the decay rate
     (1/t) log E[exp(-i p . x_t)] at those fiber momenta.
     """
+    if n_traj < 2:
+        raise ValueError(f"need at least 2 trajectories for a covariance, "
+                         f"got {n_traj}")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and positive, got {t_final}")
     proc = _Process(table if table is not None else build_rate_table(cfg))
     probes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in probes]
     sizes = [block_size] * (n_traj // block_size)
@@ -346,19 +351,6 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
         cgf=tuple(cgf_estimates),
         warnings=tuple(warnings),
     )
-
-
-def cgf_estimate(cfg, p, n_traj, t_final, table=None, threads=1):
-    """Decay-rate estimate (1/t) log E[exp(-i p . x_t)] for one probe p."""
-    stats = run_ensemble(cfg, n_traj, t_final, probes=[p], table=table,
-                         threads=threads)
-    est = stats.cgf[0]
-    if est.mean_magnitude < 10.0 * max(est.se_real, est.se_imag) * t_final:
-        raise RuntimeError(
-            "probe magnitude has decayed into the noise floor; "
-            "use a smaller |p| or shorter t_final"
-        )
-    return est
 
 
 def sample_paths(cfg, n_paths, t_final, table=None, max_events=100000):

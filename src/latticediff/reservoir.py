@@ -7,9 +7,9 @@ space-time correlation
 
     psi(x, t) = int dw psi_hat(w) exp(i w t) int_{S^{d-1}} ds exp(i w s.x)
 
-is evaluated by a truncated panel Gauss-Legendre rule in w and a
-Gauss-Jacobi rule in the polar variable of the sphere integral.  All
-refinement checks double the panel count and polar order and compare.
+is evaluated by a truncated panel Gauss-Legendre rule in w, with the
+sphere integral in closed form (`sphere.plane_wave_average`).  All
+refinement checks double the frequency panel count and compare.
 """
 
 import math
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .sphere import order_for_phase, plane_wave_average, surface_area
+from .sphere import plane_wave_average, surface_area
 
 
 class QuadratureError(Exception):
@@ -37,10 +37,12 @@ def _legendre_rule(order):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Resolution knobs for the correlation-function quadrature."""
+    """Resolution knobs for the frequency and time quadratures.
+
+    The sphere integral is in closed form, so only the panel rules have knobs.
+    """
 
     rel_tol: float = 1e-8
-    eta_order: int = 64
     panel_order: int = 16
     phase_per_panel: float = 16.0
     tail_head: float = 60.0       # head length of half-line time integrals
@@ -187,26 +189,6 @@ def _omega_nodes(profile, phase_rate, quad, refine=1):
     return nodes, weights
 
 
-def _sphere_rows(d, radii, nodes, base_order):
-    """Plane-wave sphere averages S(r |w|) for each radius, chunked in w.
-
-    The Gauss-Jacobi order needed to resolve exp(i r w eta) grows with
-    |r w|, so each frequency chunk gets its own order; nodes near w = 0
-    stay cheap even when the radius is large.
-    """
-    rows = np.empty((len(radii), len(nodes)))
-    for i, r in enumerate(radii):
-        if d == 1:
-            rows[i] = 2.0 * np.cos(r * nodes)
-            continue
-        for lo in range(0, len(nodes), 512):
-            sl = slice(lo, min(lo + 512, len(nodes)))
-            phase = r * float(np.max(np.abs(nodes[sl])))
-            order = order_for_phase(phase, base=base_order)
-            rows[i, sl] = plane_wave_average(d, r * nodes[sl], order=order)
-    return rows
-
-
 def _psi_batch_raw(profile, xs, ts, quad, refine):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -216,7 +198,7 @@ def _psi_batch_raw(profile, xs, ts, quad, refine):
     wpsi = weights * profile.psi_hat(nodes)
     d = xs.shape[1]
     unique_r, inverse = np.unique(rnorm, return_inverse=True)
-    sphere = _sphere_rows(d, unique_r, nodes, quad.eta_order * refine)
+    sphere = plane_wave_average(d, np.multiply.outer(unique_r, nodes))
     out = np.empty(len(ts), dtype=complex)
     chunk = max(1, int(2e6 / max(len(nodes), 1)))
     for lo in range(0, len(ts), chunk):
@@ -229,8 +211,8 @@ def _psi_batch_raw(profile, xs, ts, quad, refine):
 def psi_xt_batch(profile, xs, ts, quad=DEFAULT_QUAD, check=True):
     """Correlation psi(x_j, t_j) for matched arrays of points and times.
 
-    With check=True the panel count and polar order are doubled and the
-    two evaluations compared at `quad.rel_tol`; check=False skips the
+    With check=True the frequency panel count is doubled and the two
+    evaluations compared at `quad.rel_tol`; check=False skips the
     doubled pass (used by the decay scans, which need many points but
     only modest accuracy).
     """
@@ -357,8 +339,8 @@ def gain_coefficient_sphere(profile, a, x):
     """Closed sphere form 2 pi psi_hat(a) int_{S^{d-1}} ds e^{i a s.x}."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(a) * float(np.linalg.norm(x_arr))
-    order = order_for_phase(r, base=DEFAULT_QUAD.eta_order)
-    return 2.0 * math.pi * profile.psi_hat(a) * float(plane_wave_average(profile.dim, r, order))
+    average = float(plane_wave_average(profile.dim, r))
+    return 2.0 * math.pi * profile.psi_hat(a) * average
 
 
 def gain_coefficient_position(profile, a, x, quad=DEFAULT_QUAD):

@@ -3,13 +3,15 @@
 Everything here treats the sphere S^{d-1} embedded in R^d with its surface
 measure (total mass |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2)), which is the
 normalization used throughout the jump-rate and correlation formulas.
+Plane-wave averages are in closed form (Bessel functions); the
+Gauss-Jacobi polar rule only builds the direction nodes for d >= 3.
 """
 
 from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import jv, roots_jacobi
 
 
 def surface_area(d):
@@ -37,30 +39,23 @@ def polar_rule(d, order):
     return _jacobi_rule(int(order), (d - 3) / 2.0)
 
 
-def plane_wave_average(d, r, order=64):
+def plane_wave_average(d, r):
     """int_{S^{d-1}} ds exp(i r s.e) for unit vector e, as a function of r.
 
     The integral depends on |r| only and is real and even.  For d = 1 the
-    sphere is the two-point set {+1, -1}.  For d >= 2 it is evaluated with
-    the Gauss-Jacobi rule of `polar_rule`; the rule order must grow with
-    |r| for the oscillatory integrand to be resolved, which callers handle
-    via `order_for_phase`.
+    sphere is the two-point set {+1, -1}.  For d >= 2 it is the closed form
+    (2 pi)^{d/2} |r|^{1-d/2} J_{d/2-1}(|r|), whose limit at r = 0 is
+    |S^{d-1}|.
     """
     r = np.asarray(r, dtype=float)
     if d == 1:
         return 2.0 * np.cos(r)
-    eta, w = polar_rule(d, order)
-    ring = surface_area(d - 1)
-    # cos suffices: the sin part cancels by eta -> -eta symmetry.
-    return ring * (np.cos(np.multiply.outer(r, eta)) @ w)
-
-
-def order_for_phase(r_max, base=64):
-    """Gauss-Jacobi order that resolves exp(i r eta) up to |r| = r_max."""
-    need = int(math.ceil(1.4 * abs(r_max))) + 16
-    order = max(int(base), need)
-    # quantize so cached rules are reused across nearby calls
-    return int(64 * math.ceil(order / 64.0))
+    nu = d / 2.0 - 1.0
+    r = np.abs(r)
+    zero = r == 0.0
+    safe = np.where(zero, 1.0, r)
+    value = (2.0 * math.pi) ** (d / 2.0) * jv(nu, safe) / safe ** nu
+    return np.where(zero, surface_area(d), value)
 
 
 def direction_nodes(d, m):
@@ -96,11 +91,3 @@ def direction_nodes(d, m):
     # pin the total weight to the exact surface area
     weights = weights * (surface_area(d) / weights.sum())
     return nodes, weights
-
-
-def uniform_directions(rng, d, n):
-    """Draw n points uniformly on S^{d-1} (for d = 1: random signs)."""
-    if d == 1:
-        return np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None]
-    g = rng.normal(size=(n, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -132,6 +132,16 @@ def test_simulate_dump_paths(tmp_path, config_path):
     assert len(lines) > 4
 
 
+@pytest.mark.parametrize("traj,tfinal", [("0", "5"), ("1", "5"), ("256", "-1")])
+def test_simulate_bad_ensemble_exits_two(tmp_path, config_path, traj, tfinal):
+    out = tmp_path / "stats.json"
+    result = _run("simulate", "--config", config_path, "--traj", traj,
+                  "--tfinal", tfinal, "--out", str(out))
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_diagrams_list(tmp_path):
     result = _run("diagrams", "--n", "2", "--list")
     assert result.returncode == 0

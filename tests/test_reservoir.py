@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import j0, j1
 
 from latticediff.model import SpinSystem
 from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadSpec,
@@ -13,7 +12,7 @@ from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadSpec,
                                    gain_coefficient_sphere, half_line_fourier,
                                    lamb_shift, psi_xt, psi_xt_batch,
                                    _omega_nodes)
-from latticediff.sphere import plane_wave_average, surface_area
+from latticediff.sphere import plane_wave_average, polar_rule, surface_area
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +85,21 @@ def test_origin_value_is_sphere_times_frequency_integral(bath4):
     assert value == pytest.approx(oracle, rel=1e-9)
 
 
-@pytest.mark.parametrize("d,closed", [
-    (2, lambda r: 2 * math.pi * j0(r)),
-    (4, lambda r: (2 * math.pi) ** 2 * (j1(r) / r if r else 0.5)),
-])
-def test_sphere_average_matches_bessel_closed_form(d, closed):
-    for r in (0.3, 1.7, 6.0, 25.0):
-        order = max(64, int(2 * r) + 32)
-        assert plane_wave_average(d, r, order) == pytest.approx(
-            closed(r), rel=1e-10, abs=1e-12)
+def _polar_quadrature(d, r):
+    """Gauss-Jacobi reduction of the sphere average, resolved up to phase r."""
+    eta, w = polar_rule(d, int(2 * r) + 64)
+    return surface_area(d - 1) * float(np.cos(r * eta) @ w)
+
+
+# d = 1 is the two-point sphere {+1, -1}; d >= 2 the Gauss-Jacobi reduction.
+@pytest.mark.parametrize("d,reference", [(1, lambda r: 2.0 * math.cos(r))] + [
+    (d, lambda r, d=d: _polar_quadrature(d, r)) for d in (2, 3, 4, 5)])
+def test_sphere_average_matches_bessel_closed_form(d, reference):
+    for r in (1e-3, 0.3, 1.7, 6.0, 25.0, 300.0):
+        assert abs(plane_wave_average(d, r) - reference(r)) <= 1e-12 * surface_area(d)
+    assert plane_wave_average(d, 0.0) == surface_area(d)
+    rs = np.array([-6.0, 0.0, 6.0])
+    assert np.array_equal(plane_wave_average(d, rs), plane_wave_average(d, -rs))
 
 
 def test_hermiticity_in_time(bath4):
@@ -121,8 +126,7 @@ def test_rotational_invariance(bath2):
 
 def test_refinement_doubling_converges(bath4):
     # psi_xt raises on refinement disagreement; also compare two specs
-    tight = QuadSpec(rel_tol=1e-8, eta_order=96, panel_order=16,
-                     phase_per_panel=12.0)
+    tight = QuadSpec(rel_tol=1e-8, panel_order=16, phase_per_panel=12.0)
     for (x, t) in [((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), 5.0), ((1, 1, 0, 0), 9.0)]:
         base = psi_xt(bath4, x, t)
         ref = psi_xt(bath4, x, t, tight)
