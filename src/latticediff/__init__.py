@@ -24,15 +24,15 @@ from .generator import (JumpRateTable, assemble_fiber, build_rate_table,
                         escape_rates, gain_kernel_crosscheck, symmetrize)
 from .spectral import (diffusion_tensor_formula, diffusion_tensor_hessian,
                        perron_curve, perron_eigenvalue, spectral_gaps,
-                       spectral_report, stationary_state)
-from .kmc import EnsembleStats, ParticleState, run_ensemble, step
+                       stationary_state)
+from .kmc import EnsembleStats, run_ensemble
 from .diagrams import (Diagram, DiagramClass, check_lemma_bounds, classify,
                        enumerate_pairings, integrate_unconstrained, mir_shape)
 
 __all__ = [
     "BathProfile", "CorrelationSample", "Diagram", "DiagramClass",
     "DispersionSpec", "EnsembleStats", "GridSpec", "JumpRateTable",
-    "ModelConfig", "ParticleState", "QuadSpec", "SpinSystem",
+    "ModelConfig", "QuadSpec", "SpinSystem",
     "ValidationError", "assemble_fiber", "build_rate_table",
     "check_lemma_bounds", "check_subluminal_decay",
     "check_time_integrability", "classify", "correlation_samples",
@@ -41,6 +41,6 @@ __all__ = [
     "escape_rates", "gain_coefficient_position", "gain_coefficient_sphere",
     "gain_kernel_crosscheck", "integrate_unconstrained", "lamb_shift",
     "mir_shape", "model_from_json", "perron_curve", "perron_eigenvalue",
-    "psi_hat", "psi_xt", "run_ensemble", "spectral_gaps", "spectral_report",
-    "stationary_state", "step", "symmetrize", "validate_model",
+    "psi_hat", "psi_xt", "run_ensemble", "spectral_gaps",
+    "stationary_state", "symmetrize", "validate_model",
 ]

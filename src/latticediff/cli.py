@@ -20,23 +20,18 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .model import (ValidationError, ensure_valid, model_from_json,
-                    validate_model)
-from .reservoir import (FitError, QuadratureError, check_subluminal_decay,
-                        correlation_samples)
-from .generator import GeneratorError, assemble_fiber, build_rate_table
-from .spectral import (ConvergenceError, FDInconsistencyError,
-                       TrackingLossError, diffusion_tensor_formula,
-                       diffusion_tensor_hessian, perron_curve, spectral_gaps)
-from .kmc import run_ensemble, sample_paths
-from .diagrams import (DiagramError, PreconditionError, check_lemma_bounds,
-                       classify, enumerate_pairings)
+from .model import (NumericError, ValidationError, ensure_valid,
+                    model_from_json, validate_model)
+from .reservoir import check_subluminal_decay, correlation_samples
+from .generator import assemble_fiber, build_rate_table
+from .spectral import (diffusion_tensor_formula, diffusion_tensor_hessian,
+                       perron_curve, spectral_gaps)
+from .kmc import check_ensemble_args, run_ensemble, sample_paths
+from .diagrams import (DiagramError, check_lemma_bounds, classify,
+                       enumerate_pairings)
 
 CONFIG_ERRORS = (ValidationError, DiagramError, FileNotFoundError,
                  json.JSONDecodeError, KeyError, ValueError)
-NUMERIC_ERRORS = (QuadratureError, FitError, ConvergenceError,
-                  TrackingLossError, FDInconsistencyError, GeneratorError,
-                  PreconditionError)
 
 
 def _versions():
@@ -217,6 +212,9 @@ def cmd_spectrum(args):
 
 
 def cmd_diffusion(args):
+    if args.kmc_traj:
+        # 0 asks for the default horizon, 200 / g_low, known only after the gaps
+        check_ensemble_args(args.kmc_traj, args.kmc_tfinal or 1.0)
     cfg = _load_config(args)
     ensure_valid(cfg)
     table = build_rate_table(cfg)
@@ -385,7 +383,7 @@ def main(argv=None):
     args.wall_time = lambda: time.time() - start
     try:
         return args.func(args)
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

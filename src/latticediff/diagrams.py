@@ -21,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .model import NumericError
+
 
 class DiagramError(Exception):
     pass
 
 
-class PreconditionError(Exception):
+class PreconditionError(NumericError):
     """Kernel norms violate the contraction conditions of the bounds."""
 
 

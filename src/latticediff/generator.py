@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import dispersion_eval
+from .model import NumericError, dispersion_eval
 from .sphere import direction_nodes, surface_area
 
 
-class GeneratorError(Exception):
+class GeneratorError(NumericError):
     """Rate table or assembly violates a structural requirement."""
 
 
@@ -297,23 +297,6 @@ class CrosscheckReport:
     samples: tuple
     max_quad_rel_error: float
     max_grid_peak_error: float
-
-    def to_dict(self):
-        return {
-            "max_quad_rel_error": self.max_quad_rel_error,
-            "max_grid_peak_error": self.max_grid_peak_error,
-            "samples": [
-                {
-                    "bohr": s.bohr, "x": list(s.x),
-                    "closed_form": s.closed_form,
-                    "time_quadrature": s.time_quadrature,
-                    "grid_transform": s.grid_transform,
-                    "quad_rel_error": s.quad_rel_error,
-                    "grid_peak_error": s.grid_peak_error,
-                }
-                for s in self.samples
-            ],
-        }
 
 
 def gain_kernel_crosscheck(cfg, bohr, xs, table=None, quad=None):

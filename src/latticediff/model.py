@@ -18,6 +18,10 @@ class ValidationError(Exception):
     """A model violates one of its standing assumptions."""
 
 
+class NumericError(Exception):
+    """A computation failed its own convergence or consistency check."""
+
+
 @dataclass(frozen=True)
 class DispersionSpec:
     """Periodic dispersion on the torus [-pi, pi)^d.

@@ -19,14 +19,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .model import NumericError
 from .sphere import plane_wave_average, surface_area
 
 
-class QuadratureError(Exception):
+class QuadratureError(NumericError):
     """Successive quadrature refinements disagree beyond tolerance."""
 
 
-class FitError(Exception):
+class FitError(NumericError):
     """Decay-law fit could not be performed (e.g. samples underflow)."""
 
 
@@ -47,7 +48,6 @@ class QuadSpec:
     phase_per_panel: float = 16.0
     tail_head: float = 60.0       # head length of half-line time integrals
     tail_averages: int = 8        # oscillatory-tail averaging depth
-    underflow_floor: float = 1e-220
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -205,7 +205,7 @@ def _psi_batch_raw(profile, xs, ts, quad, refine):
         sl = slice(lo, min(lo + chunk, len(ts)))
         phase = np.exp(1j * np.multiply.outer(ts[sl], nodes))
         out[sl] = (sphere[inverse[sl]] * phase) @ wpsi
-    return out
+    return out, len(nodes)
 
 
 def psi_xt_batch(profile, xs, ts, quad=DEFAULT_QUAD, check=True):
@@ -216,17 +216,12 @@ def psi_xt_batch(profile, xs, ts, quad=DEFAULT_QUAD, check=True):
     doubled pass (used by the decay scans, which need many points but
     only modest accuracy).
     """
-    coarse = _psi_batch_raw(profile, xs, ts, quad, refine=1)
+    coarse, _ = _psi_batch_raw(profile, xs, ts, quad, refine=1)
     if not check:
         return coarse
-    fine = _psi_batch_raw(profile, xs, ts, quad, refine=2)
-    scale = np.maximum(np.abs(fine), _floor_scale(profile, quad))
-    worst = float(np.max(np.abs(fine - coarse) / scale))
-    if worst > quad.rel_tol:
-        raise QuadratureError(
-            f"correlation quadrature not converged: refinement moved "
-            f"result by {worst:.2e} (tolerance {quad.rel_tol:.1e})"
-        )
+    fine, n_nodes = _psi_batch_raw(profile, xs, ts, quad, refine=2)
+    _check_refinement(profile, fine, coarse, quad.rel_tol, n_nodes,
+                      "correlation quadrature")
     return fine
 
 
@@ -236,8 +231,22 @@ def _zero_point_scale(profile):
     return float(weights @ profile.psi_hat(nodes)) * surface_area(profile.dim)
 
 
-def _floor_scale(profile, quad):
-    return abs(_zero_point_scale(profile)) * quad.underflow_floor
+def _check_refinement(profile, fine, coarse, rel_tol, n_terms, what):
+    """Raise unless |fine - coarse| <= rel_tol |fine| + n_terms eps |psi(0, 0)|.
+
+    psi_hat >= 0 makes |psi(0, 0)| the largest |psi|, so the second term
+    bounds the float error of an n_terms-term sum of psi-sized terms: where
+    |psi| is at roundoff, the two rules may disagree by that much.
+    """
+    move = np.abs(fine - coarse)
+    floor = n_terms * np.finfo(float).eps * abs(_zero_point_scale(profile))
+    worst = float(np.max(move / (rel_tol * np.abs(fine) + floor)))
+    if worst > 1.0:
+        raise QuadratureError(
+            f"{what} not converged: refinement moved the result by "
+            f"{worst:.2e} times its allowance (rel_tol {rel_tol:.1e} "
+            f"plus {n_terms:.0f} eps |psi(0, 0)|)"
+        )
 
 
 def psi_xt(profile, x, t, quad=DEFAULT_QUAD):
@@ -268,7 +277,8 @@ def correlation_samples(profile, x, times, quad=DEFAULT_QUAD, check=False):
 def _cumulative_halfline(profile, x, a, quad, refine):
     """Partial integrals int_0^{T_j} psi(x, t) e^{i a t} dt at tail anchors.
 
-    Returns (anchors T_j, partial integral values).  Anchors are spaced by
+    Returns (anchors T_j, partial integral values, number of t and omega
+    nodes in the nested sum).  Anchors are spaced by
     half an oscillation period of the combined integrand so the caller can
     average the tail out; for |a| ~ 0 the spacing falls back to a fixed
     stride and the tail is Richardson-extrapolated instead.
@@ -291,14 +301,14 @@ def _cumulative_halfline(profile, x, a, quad, refine):
     t_nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     t_weights = (half[:, None] * gl_w[None, :]).ravel()
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    psi_vals = _psi_batch_raw(profile, np.tile(x_arr, (len(t_nodes), 1)), t_nodes,
-                              quad, refine)
+    psi_vals, n_omega = _psi_batch_raw(
+        profile, np.tile(x_arr, (len(t_nodes), 1)), t_nodes, quad, refine)
     contrib = t_weights * psi_vals * np.exp(1j * a * t_nodes)
     per_panel = contrib.reshape(-1, quad.panel_order).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(per_panel)])
     # anchors coincide with panel edges by construction
     idx = np.searchsorted(edges, anchors)
-    return anchors, cum[idx]
+    return anchors, cum[idx], len(t_nodes) + n_omega
 
 
 def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
@@ -311,27 +321,26 @@ def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
     |a|), which removes the tail to high order.
     """
     def run(refine):
-        anchors, partials = _cumulative_halfline(profile, x, a, quad, refine)
+        anchors, partials, n_nodes = _cumulative_halfline(profile, x, a, quad,
+                                                          refine)
+        # the t weights add up to anchors[-1], which scales the error bound
+        n_terms = anchors[-1] * n_nodes
         if abs(a) >= 0.25:
             acc = partials
             while len(acc) > 1:
                 acc = 0.5 * (acc[:-1] + acc[1:])
-            return acc[0]
+            return acc[0], n_terms
         # monotone tail: fit partials ~ I - c1/T - c2/T^2 and extrapolate
         design = np.column_stack([np.ones_like(anchors), 1.0 / anchors,
                                   1.0 / anchors ** 2])
         coef_re, *_ = np.linalg.lstsq(design, partials.real, rcond=None)
         coef_im, *_ = np.linalg.lstsq(design, partials.imag, rcond=None)
-        return complex(coef_re[0], coef_im[0])
+        return complex(coef_re[0], coef_im[0]), n_terms
 
-    coarse = run(1)
-    fine = run(2)
-    scale = max(abs(fine), _floor_scale(profile, quad))
-    if abs(fine - coarse) / scale > max(quad.rel_tol, 1e-9) * 50:
-        raise QuadratureError(
-            f"half-line Fourier integral at a={a} not converged: "
-            f"refinement moved result by {abs(fine - coarse) / scale:.2e}"
-        )
+    coarse, _ = run(1)
+    fine, n_terms = run(2)
+    _check_refinement(profile, fine, coarse, max(quad.rel_tol, 1e-9) * 50,
+                      n_terms, f"half-line Fourier integral at a={a}")
     return fine
 
 
@@ -465,16 +474,6 @@ class IntegrabilityReport:
     @property
     def total(self):
         return self.partial_integral + self.tail_estimate
-
-    def to_dict(self):
-        return {
-            "t_max": self.t_max,
-            "partial_integral": self.partial_integral,
-            "tail_estimate": self.tail_estimate,
-            "tail_power": self.tail_power,
-            "total": self.total,
-            "passed": self.passed,
-        }
 
 
 def check_time_integrability(profile, t_max, quad=DEFAULT_QUAD, n_t=24):

@@ -16,18 +16,18 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .generator import assemble_fiber, build_rate_table, escape_rates, symmetrize
-from .model import dispersion_grad
+from .model import NumericError, dispersion_grad
 
 
-class ConvergenceError(Exception):
+class ConvergenceError(NumericError):
     """An iterative solve did not reach its tolerance within its budget."""
 
 
-class TrackingLossError(Exception):
+class TrackingLossError(NumericError):
     """Eigenvalue continuation lost the branch it was following."""
 
 
-class FDInconsistencyError(Exception):
+class FDInconsistencyError(NumericError):
     """Finite-difference step-halving check failed."""
 
 
@@ -405,55 +405,3 @@ def diffusion_tensor_formula(cfg, table=None, tol=1e-10):
         for j in range(d):
             tensor[i, j] = 2.0 * float(b_i @ solutions[j]) / norm2
     return 0.5 * (tensor + tensor.T)
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    eigencurve: tuple          # (p, complex eigenvalue) samples
-    gaps: GapReport
-    stationary: np.ndarray
-    diffusion_hessian: np.ndarray
-    diffusion_formula: np.ndarray
-    method_tags: dict
-
-    def to_dict(self):
-        return {
-            "eigencurve": [
-                {"p": list(p), "re": v.real, "im": v.imag}
-                for p, v in self.eigencurve
-            ],
-            "gaps": self.gaps.to_dict(),
-            "diffusion_hessian": self.diffusion_hessian.tolist(),
-            "diffusion_formula": self.diffusion_formula.tolist(),
-            "method_tags": self.method_tags,
-        }
-
-
-def spectral_report(cfg, table=None, p_samples=None, fd_step=1e-3):
-    """One-stop spectral summary used by the command-line interface."""
-    if table is None:
-        table = build_rate_table(cfg)
-    gaps = spectral_gaps(cfg, table)
-    if p_samples is None:
-        p_samples = [np.concatenate([[s], np.zeros(cfg.dim - 1)])
-                     for s in np.linspace(0.0, 0.5, 11)]
-    curve = perron_curve(cfg, table, p_samples, dense_every=len(p_samples))
-    block0 = assemble_fiber(cfg, table, np.zeros(cfg.dim), 0.0)
-    gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(table.levels)),
-                      cfg.grid.points_per_axis ** cfg.dim)
-    stat = stationary_state(block0.matrix, ansatz=gibbs)
-    hess = diffusion_tensor_hessian(cfg, table, h=fd_step)
-    formula = diffusion_tensor_formula(cfg, table)
-    return SpectralReport(
-        eigencurve=tuple((pt.p, pt.eigenvalue) for pt in curve),
-        gaps=gaps,
-        stationary=stat,
-        diffusion_hessian=hess.tensor,
-        diffusion_formula=formula,
-        method_tags={
-            "stationary": "inverse-iteration",
-            "eigencurve": "rayleigh-continuation",
-            "diffusion_hessian": "finite-difference+richardson",
-            "diffusion_formula": "projected-cg",
-        },
-    )

@@ -109,13 +109,15 @@ def test_diffusion_json_has_all_methods(tmp_path, config_path):
 
 def test_simulate_reproducible_across_runs_and_threads(tmp_path, config_path):
     outs = []
-    for name, threads in (("a.json", "1"), ("b.json", "1"), ("c.json", "3")):
-        out = tmp_path / name
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+        out = tmp_path / f"{name}.json"
+        paths = tmp_path / f"{name}.csv"
         result = _run("--threads", threads, "simulate", "--config", config_path,
                       "--traj", "3000", "--tfinal", "15",
-                      "--probes", "0.1", "--out", str(out))
+                      "--probes", "0.1", "--out", str(out),
+                      "--dump-paths", str(paths), "--n-paths", "3")
         assert result.returncode == 0
-        outs.append(out.read_text())
+        outs.append((out.read_text(), paths.read_text()))
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
 
@@ -130,6 +132,11 @@ def test_simulate_dump_paths(tmp_path, config_path):
     lines = paths.read_text().splitlines()
     assert lines[1] == "path,t,x0,k0,level"
     assert len(lines) > 4
+    rows = [line.split(",") for line in lines[2:]]
+    for path in ("0", "1"):
+        times = [float(r[1]) for r in rows if r[0] == path]
+        assert times[0] == 0.0
+        assert times[-1] == 5.0
 
 
 @pytest.mark.parametrize("traj,tfinal", [("0", "5"), ("1", "5"), ("256", "-1")])
@@ -139,6 +146,24 @@ def test_simulate_bad_ensemble_exits_two(tmp_path, config_path, traj, tfinal):
                   "--tfinal", tfinal, "--out", str(out))
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "ValueError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kmc_args", [["--kmc-traj", "1"],
+                                      ["--kmc-traj", "256", "--kmc-tfinal", "-1"]])
+def test_diffusion_bad_kmc_args_exit_two_before_solving(
+        tmp_path, config_path, monkeypatch, capsys, kmc_args):
+    from latticediff import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the spectral solves ran before the check")
+
+    monkeypatch.setattr(cli, "diffusion_tensor_hessian", unreachable)
+    out = tmp_path / "diff.json"
+    code = cli.main(["diffusion", "--config", config_path, "--out", str(out),
+                     *kmc_args])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from latticediff.generator import build_rate_table, escape_rates
-from latticediff.kmc import (ParticleState, _Process, run_ensemble,
-                             sample_paths, step)
+from latticediff.generator import escape_rates
+from latticediff.kmc import _wrap, run_ensemble, sample_paths
 from latticediff.model import DispersionSpec, GridSpec, ModelConfig, SpinSystem
 from latticediff.presets import reference_1d
 from latticediff.reservoir import BathProfile
@@ -22,33 +21,45 @@ def _single_level_model():
     )
 
 
+def _paths(rows):
+    """Rows of `sample_paths` split per path: (t, x, k, level) arrays."""
+    out = {}
+    for i, t, x, k, level in rows:
+        out.setdefault(i, []).append((t, x, k, level))
+    return [(np.array([r[0] for r in p]), np.array([r[1] for r in p]),
+             np.array([r[2] for r in p]), np.array([r[3] for r in p]))
+            for _, p in sorted(out.items())]
+
+
+def _completed_waits(rows):
+    """(level, wait) of every completed sojourn; the last interval of each
+    path is cut at t_final and is not a completed wait."""
+    levels, waits = [], []
+    for t, _, _, level in _paths(rows):
+        levels.append(level[:-2])
+        waits.append(np.diff(t)[:-1])
+    return np.concatenate(levels), np.concatenate(waits)
+
+
 def test_single_level_is_ballistic():
     cfg = _single_level_model()
-    proc = _Process(build_rate_table(cfg))
-    rng = np.random.default_rng(0)
-    state = ParticleState(x=(0.0,), k=(0.7,), level=0)
-    v = 2.0 * math.sin(0.7)
-    for n in range(1, 4):
-        state = step(state, None, rng, process=proc)
-        assert state.level == 0
-        assert state.k == (0.7,)
-        assert state.x[0] == pytest.approx(v * state.t, rel=1e-12)
+    for t, x, k, level in _paths(sample_paths(cfg, 3, 7.5)):
+        assert t.tolist() == [0.0, 7.5]
+        assert np.array_equal(k[1], k[0])
+        assert level.tolist() == [0, 0]
+        assert x[0, 0] == 0.0
+        assert x[1, 0] == pytest.approx(2.0 * math.sin(k[0, 0]) * 7.5,
+                                        rel=1e-12)
     stats = run_ensemble(cfg, 512, 30.0)
     assert np.all(stats.level_hist == [512])
 
 
 def test_waiting_times_follow_escape_rates(ref1d, ref1d_table):
     rates = escape_rates(ref1d_table)
-    proc = _Process(ref1d_table)
-    rng = np.random.default_rng(123)
-    state = ParticleState(x=(0.0,), k=(0.0,), level=1)
-    waits = {0: [], 1: []}
-    for _ in range(20000):
-        new = step(state, None, rng, process=proc)
-        waits[state.level].append(new.t - state.t)
-        state = new
+    levels, waits = _completed_waits(
+        sample_paths(ref1d, 4, 400.0, table=ref1d_table))
     for lvl in (0, 1):
-        sample = np.asarray(waits[lvl])
+        sample = waits[levels == lvl]
         assert len(sample) >= 5000
         assert sample.mean() == pytest.approx(1.0 / rates[lvl], rel=0.05)
         result = sps.kstest(sample, "expon", args=(0.0, 1.0 / rates[lvl]))
@@ -66,16 +77,10 @@ def test_mean_wait_on_unit_rate_profile():
                          table_values=(0.0, 1.0, 0.0)),
         grid=GridSpec(points_per_axis=16, sphere_nodes=2),
     )
-    proc = _Process(build_rate_table(cfg))
-    rng = np.random.default_rng(31)
-    waits = []
-    state = ParticleState(x=(0.0,), k=(0.0,), level=1)
-    for _ in range(12000):
-        new = step(state, None, rng, process=proc)
-        if state.level == 1:
-            waits.append(new.t - state.t)
-        state = new
-    assert np.mean(waits) == pytest.approx(1.0 / (4.0 * math.pi), rel=0.05)
+    levels, waits = _completed_waits(sample_paths(cfg, 4, 450.0))
+    upper = waits[levels == 1]
+    assert len(upper) >= 5000
+    assert upper.mean() == pytest.approx(1.0 / (4.0 * math.pi), rel=0.05)
 
 
 def test_ensemble_stats_invariants(medium_run):
@@ -89,23 +94,24 @@ def test_ensemble_stats_invariants(medium_run):
 
 
 def test_jump_magnitude_equals_level_gap(ref1d, ref1d_table):
-    proc = _Process(ref1d_table)
-    rng = np.random.default_rng(9)
-    state = ParticleState(x=(0.0,), k=(0.0,), level=1)
-    for _ in range(50):
-        new = step(ParticleState(x=(0.0,), k=(0.0,), level=state.level),
-                   None, rng, process=proc)
-        assert abs(new.k[0]) == pytest.approx(1.0, abs=1e-14)
-        state = new
+    gap = abs(ref1d.spin.levels[1] - ref1d.spin.levels[0])
+    n_jumps = 0
+    for _, _, k, level in _paths(sample_paths(ref1d, 3, 20.0,
+                                              table=ref1d_table)):
+        # the last row is the stop at t_final, not a jump
+        dk = _wrap(np.diff(k[:-1, 0]))
+        assert np.allclose(np.abs(dk), gap, rtol=0.0, atol=1e-12)
+        assert np.all(level[1:-1] != level[:-2])
+        n_jumps += len(dk)
+    assert n_jumps >= 50
 
 
 def test_momentum_wrapped_after_jump(ref1d, ref1d_table):
-    proc = _Process(ref1d_table)
-    rng = np.random.default_rng(4)
-    state = ParticleState(x=(0.0,), k=(3.0,), level=1)
-    for _ in range(20):
-        state = step(state, None, rng, process=proc)
-        assert -math.pi <= state.k[0] < math.pi
+    rows = sample_paths(ref1d, 3, 20.0, table=ref1d_table)
+    k = np.array([r[3][0] for r in rows])
+    assert np.all((-math.pi <= k) & (k < math.pi))
+    # some kick crossed the zone edge and was wrapped back
+    assert np.any(np.abs(np.diff(k)) > math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +205,13 @@ def test_sample_paths_structure(ref1d, ref1d_table):
     for i, t, x, k, level in rows:
         assert -math.pi <= k[0] < math.pi
         assert level in (0, 1)
+    for t, x, _, _ in _paths(rows):
+        assert t[0] == 0.0 and np.all(x[0] == 0.0)
+        assert np.all(np.diff(t) > 0)
+        assert t[-1] == 5.0
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1.0, math.nan, math.inf])
+def test_sample_paths_rejects_bad_horizon(ref1d, ref1d_table, t_final):
+    with pytest.raises(ValueError, match="t_final"):
+        sample_paths(ref1d, 2, t_final, table=ref1d_table)

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from latticediff.model import SpinSystem
-from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadSpec,
-                                   check_subluminal_decay,
+from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadratureError,
+                                   QuadSpec, check_subluminal_decay,
                                    check_time_integrability,
                                    gain_coefficient_position,
                                    gain_coefficient_sphere, half_line_fourier,
@@ -131,6 +131,23 @@ def test_refinement_doubling_converges(bath4):
         base = psi_xt(bath4, x, t)
         ref = psi_xt(bath4, x, t, tight)
         assert base == pytest.approx(ref, rel=1e-8)
+
+
+def test_refinement_check_allows_roundoff_only():
+    # outside the light cone |psi| is at the roundoff of the omega sum, so
+    # the check must allow n_nodes eps |psi(0, 0)| on top of rel_tol |psi|
+    bath3 = BathProfile("builtin_gaussian", beta=1.0, dim=3, cutoff=2.0)
+    rng = np.random.default_rng(3)
+    psi_xt_batch(bath3, rng.uniform(-6.0, 6.0, size=(40, 3)),
+                 rng.uniform(-20.0, 20.0, size=40))
+    psi_xt(bath3, (-6.0, -5.0, -6.0), -0.004)
+    # an under-resolved rule moves O(1) values far beyond that allowance
+    coarse = QuadSpec(panel_order=4, phase_per_panel=64.0)
+    for x, t in [((0.5, 0.0, 0.0), 1.0), ((1.0, 1.0, 0.0), 2.0),
+                 ((0.0, 0.0, 0.0), 3.0)]:
+        assert abs(psi_xt_batch(bath3, [x], [t], check=False)[0]) > 0.1
+        with pytest.raises(QuadratureError):
+            psi_xt(bath3, x, t, coarse)
 
 
 def test_cone_decay_fit_passes(bath4):

@@ -9,7 +9,7 @@ from latticediff.spectral import (coherence_top,
                                   diffusion_tensor_formula,
                                   diffusion_tensor_hessian, perron_curve,
                                   perron_eigenvalue, spectral_gaps,
-                                  spectral_report, stationary_state)
+                                  stationary_state)
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +171,3 @@ def test_velocity_rows_orthogonal_to_kernel(ref1d, ref1d_table):
     grad = dispersion_grad(ref1d.dispersion, ref1d.grid_points(), dim=1)
     b = np.tile(grad[:, 0], 2) * phi
     assert abs(phi @ b) <= 1e-10 * np.linalg.norm(b) * np.linalg.norm(phi)
-
-
-def test_spectral_report_round_trip(ref1d, ref1d_table):
-    report = spectral_report(ref1d, ref1d_table,
-                             p_samples=[[0.0], [0.1], [0.2]])
-    payload = report.to_dict()
-    assert payload["gaps"]["g_low"] > 0
-    assert payload["method_tags"]["diffusion_formula"] == "projected-cg"
-    assert len(payload["eigencurve"]) == 3
