@@ -23,7 +23,7 @@ from . import __version__
 from .model import (NumericError, ValidationError, ensure_valid,
                     model_from_json, validate_model)
 from .reservoir import check_subluminal_decay, correlation_samples
-from .generator import assemble_fiber, build_rate_table
+from .generator import assemble_fiber, build_rate_table, escape_rates
 from .spectral import (diffusion_tensor_formula, diffusion_tensor_hessian,
                        perron_curve, spectral_gaps)
 from .kmc import check_ensemble_args, run_ensemble, sample_paths
@@ -86,6 +86,8 @@ def _write_csv(rows, header, path, manifest_hash):
 
 def _parse_vector(text, dim=None):
     vals = [float(v) for v in str(text).split(",") if v != ""]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"vector components must be finite, got {text!r}")
     if dim is not None:
         if len(vals) == 1 and dim > 1:
             vals = vals + [0.0] * (dim - 1)
@@ -152,9 +154,12 @@ def cmd_psi(args):
 def cmd_rates(args):
     cfg = _load_config(args)
     ensure_valid(cfg)
+    p = None
+    if args.dump_matrix:
+        if not args.dump_matrix.startswith("p="):
+            raise ValueError("--dump-matrix expects the form p=<comma floats>")
+        p = _parse_vector(args.dump_matrix[2:], cfg.dim)
     table = build_rate_table(cfg)
-    from .generator import escape_rates
-
     rates = escape_rates(table)
     payload = {
         "levels": list(table.levels),
@@ -174,11 +179,7 @@ def cmd_rates(args):
                           "dump_matrix": args.dump_matrix or ""},
                          cfg.rng_seed, outputs)
     _write_json(payload, args.out, manifest["manifest_hash"])
-    if args.dump_matrix:
-        spec = args.dump_matrix
-        if not spec.startswith("p="):
-            raise ValueError("--dump-matrix expects the form p=<comma floats>")
-        p = _parse_vector(spec[2:], cfg.dim)
+    if p is not None:
         block = assemble_fiber(cfg, table, p, 0.0)
         mat = np.asarray(block.matrix, dtype=complex)
         rows = []
@@ -193,12 +194,16 @@ def cmd_rates(args):
 
 
 def cmd_spectrum(args):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if not math.isfinite(args.pmax):
+        raise ValueError(f"--pmax must be finite, got {args.pmax}")
     cfg = _load_config(args)
     ensure_valid(cfg)
     table = build_rate_table(cfg)
     scales = np.linspace(0.0, args.pmax, args.steps)
     ps = [np.concatenate([[s], np.zeros(cfg.dim - 1)]) for s in scales]
-    points = perron_curve(cfg, table, ps, dense_every=1)
+    points = perron_curve(cfg, table, ps)
     manifest = _manifest(cfg.config_hash(), "spectrum",
                          {"config": args.config, "pmax": args.pmax,
                           "steps": args.steps},
@@ -254,6 +259,9 @@ def cmd_simulate(args):
     if args.probes:
         for scale in (float(v) for v in args.probes.split(",")):
             probes.append(np.concatenate([[scale], np.zeros(cfg.dim - 1)]))
+    # the paths go first: sample_paths rejects --n-paths before any output
+    paths = (sample_paths(cfg, args.n_paths, args.tfinal, table=table)
+             if args.dump_paths else None)
     stats = run_ensemble(cfg, args.traj, args.tfinal, probes=probes,
                          table=table, threads=args.threads)
     outputs = [args.out] + ([args.dump_paths] if args.dump_paths else [])
@@ -262,10 +270,9 @@ def cmd_simulate(args):
                           "tfinal": args.tfinal, "probes": args.probes or ""},
                          cfg.rng_seed, outputs)
     _write_json(stats.to_dict(), args.out, manifest["manifest_hash"])
-    if args.dump_paths:
+    if paths is not None:
         rows = []
-        for (i, t, x, k, level) in sample_paths(cfg, args.n_paths, args.tfinal,
-                                                table=table):
+        for (i, t, x, k, level) in paths:
             rows.append((i, float(t),
                          *(float(v) for v in x), *(float(v) for v in k),
                          int(level)))

@@ -7,8 +7,13 @@ the uniform grid each translated deposition is a circulant matrix, which
 makes row sums, column sums, and the transpose all exact; detailed balance
 is then enforced as an identity by constructing only the downward (energy
 emitting) kernels and defining the reverse kernel as the scaled transpose.
+
+Translation invariance also makes the gain independent of the fiber momentum
+p: it is built once per (rate table, grid) and every fiber shares it
+read-only, adding only its loss and p-dependent kinetic diagonals.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,19 +62,11 @@ class JumpRateTable:
     def weight_array(self):
         return np.asarray(self.weights)
 
-    def sphere_total(self):
-        return surface_area(self.dim)
-
-    def escape_rate(self, level_index):
-        total = self.sphere_total()
-        return sum(c.amplitude * total for c in self.channels
-                   if c.source == level_index)
-
     def transition_matrix(self):
         """Level-to-level total rates: R[u, v] = rate of jumps u -> v."""
         n = len(self.levels)
         out = np.zeros((n, n))
-        total = self.sphere_total()
+        total = surface_area(self.dim)
         for c in self.channels:
             out[c.source, c.target] = c.amplitude * total
         return out
@@ -116,7 +113,7 @@ def build_rate_table(cfg):
 
 def escape_rates(table):
     """Total outgoing rate per level; zero rates are a hard error."""
-    rates = np.array([table.escape_rate(i) for i in range(len(table.levels))])
+    rates = table.transition_matrix().sum(axis=1)
     if np.any(rates <= 0.0):
         dead = [i for i, r in enumerate(rates) if r <= 0.0]
         raise GeneratorError(
@@ -165,6 +162,31 @@ def _circulant_from_kernel(kappa):
     return kappa.ravel()[flat]
 
 
+@functools.lru_cache(maxsize=4)
+def _population_gain(table, n_axis):
+    """Gain part of the a = 0 fiber on grid x levels, shared by every p.
+
+    Each downward kernel is deposited and made circulant once; the reverse
+    channel gets its own amplitude times the transposed block.  Read-only,
+    because every caller receives the same array.
+    """
+    n_cells = n_axis ** table.dim
+    n_lvl = len(table.levels)
+    amplitude = {(c.source, c.target): c.amplitude for c in table.channels}
+    gain = np.zeros((n_lvl * n_cells, n_lvl * n_cells))
+    for c in table.channels:
+        if c.bohr <= 0:
+            continue
+        block = _circulant_from_kernel(_deposit_kernel(
+            c.radius, table.node_array, table.weight_array, n_axis, table.dim))
+        lo = slice(c.target * n_cells, (c.target + 1) * n_cells)
+        hi = slice(c.source * n_cells, (c.source + 1) * n_cells)
+        gain[lo, hi] = c.amplitude * block
+        gain[hi, lo] = amplitude[(c.target, c.source)] * block.T
+    gain.flags.writeable = False
+    return gain
+
+
 @dataclass(frozen=True)
 class FiberBlock:
     """One assembled fiber operator on the grid (times levels for a = 0).
@@ -172,7 +194,8 @@ class FiberBlock:
     For the population block (a = 0) the matrix acts on per-cell masses
     over grid x levels (level-major layout) and splits into a nonnegative
     gain part, a loss diagonal, and a purely imaginary kinetic diagonal.
-    For a != 0 the operator is diagonal on the grid.
+    The gain array is the read-only one shared by every fiber of the same
+    rate table and grid.  For a != 0 the operator is diagonal on the grid.
     """
 
     p: tuple
@@ -221,24 +244,7 @@ def assemble_fiber(cfg, table, p, bohr=0.0, lamb_shifts=None):
     delta_eps = _kinetic_difference(cfg, p)
 
     if bohr == 0.0:
-        gain = np.zeros((n_lvl * n_cells, n_lvl * n_cells))
-        down_kernels = {}
-        for c in table.channels:
-            if c.bohr <= 0:
-                continue
-            down_kernels[(c.source, c.target)] = _deposit_kernel(
-                c.radius, table.node_array, table.weight_array, n_axis, cfg.dim
-            )
-        for c in table.channels:
-            rows = slice(c.target * n_cells, (c.target + 1) * n_cells)
-            cols = slice(c.source * n_cells, (c.source + 1) * n_cells)
-            if c.bohr > 0:
-                block = _circulant_from_kernel(down_kernels[(c.source, c.target)])
-                gain[rows, cols] += c.amplitude * block
-            else:
-                # reverse kernel: scaled transpose of the downward one
-                block = _circulant_from_kernel(down_kernels[(c.target, c.source)])
-                gain[rows, cols] += c.amplitude * block.T
+        gain = _population_gain(table, n_axis)
         loss = np.repeat(rates, n_cells)
         kinetic = np.tile(delta_eps, n_lvl)
         if np.any(delta_eps):
@@ -320,16 +326,10 @@ def gain_kernel_crosscheck(cfg, bohr, xs, table=None, quad=None):
     if channel is None:
         raise GeneratorError(f"no active channel with level difference {bohr}")
     n_axis = cfg.grid.points_per_axis
-    if channel.bohr > 0:
-        kappa = _deposit_kernel(channel.radius, table.node_array,
-                                table.weight_array, n_axis, cfg.dim)
-    else:
-        fwd = _deposit_kernel(channel.radius, table.node_array,
-                              table.weight_array, n_axis, cfg.dim)
-        # transpose of a circulant reverses the offset kernel
-        kappa = np.flip(fwd)
-        for ax in range(cfg.dim):
-            kappa = np.roll(kappa, 1, axis=ax)
+    # a reverse channel's kernel is the reversed downward one, whose lattice
+    # transform is the complex conjugate: the real part compared is the same
+    kappa = _deposit_kernel(channel.radius, table.node_array,
+                            table.weight_array, n_axis, cfg.dim)
     peak = 2.0 * math.pi * cfg.bath.psi_hat(channel.bohr) * surface_area(cfg.dim)
     # kernel index o corresponds to the momentum offset o * (2 pi / N)
     ax = 2.0 * math.pi * np.arange(n_axis) / n_axis

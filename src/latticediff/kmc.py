@@ -355,6 +355,8 @@ def sample_paths(cfg, n_paths, t_final, table=None):
     Each path has a row at t = 0, one after each of its jumps and one at
     exactly t = t_final; the rows are grouped by path in time order.
     """
+    if n_paths < 1:
+        raise ValueError(f"need at least 1 path, got {n_paths}")
     _check_horizon(t_final)
     proc = _Process(table if table is not None else build_rate_table(cfg))
     rng = _philox(cfg.rng_seed, 1 << 32)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .generator import assemble_fiber, build_rate_table, escape_rates, symmetrize
+from .generator import (_level_pair, assemble_fiber, build_rate_table,
+                        escape_rates, symmetrize)
 from .model import NumericError, dispersion_grad
 
 
@@ -70,6 +71,7 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0=None, tol=1e-13, max_iter=60):
     w = v.conj().copy() if w0 is None else np.asarray(w0, dtype=complex).copy()
     w /= np.linalg.norm(w)
     sigma = complex(sigma0)
+    resid = math.inf
     for _ in range(max_iter):
         try:
             lu = lu_factor(m - sigma * eye)
@@ -95,25 +97,19 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0=None, tol=1e-13, max_iter=60):
     )
 
 
-def perron_eigenvalue(matrix, v0=None, sigma0=None):
+def perron_eigenvalue(matrix):
     """Eigenvalue of maximal real part with its right and left eigenvectors.
 
-    Without a starting vector the full dense spectrum is computed and the
-    top eigenvalue refined; with one, shifted two-sided Rayleigh iteration
-    continues from (sigma0, v0), which is the continuation path used when
-    scanning fibers.
+    The full dense spectrum locates the top eigenvalue, which shifted
+    two-sided Rayleigh iteration then refines.
     """
     m = np.asarray(matrix)
-    if v0 is None:
-        eigvals = np.linalg.eigvals(m)
-        sigma0 = eigvals[np.argmax(eigvals.real)]
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
-        # one plain inverse iteration step pulls v0 toward the target space
-        return _two_sided_rayleigh(m, sigma0 + 1e-10 * np.abs(m).max(), v0)
-    if sigma0 is None:
-        sigma0 = (np.conj(v0) @ (m @ v0)) / (np.conj(v0) @ v0)
-    return _two_sided_rayleigh(m, sigma0, v0)
+    eigvals = np.linalg.eigvals(m)
+    sigma0 = eigvals[np.argmax(eigvals.real)]
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
+    # one plain inverse iteration step pulls v0 toward the target space
+    return _two_sided_rayleigh(m, sigma0 + 1e-10 * np.abs(m).max(), v0)
 
 
 @dataclass(frozen=True)
@@ -129,14 +125,14 @@ def _bulk_top(eigvals, tracked):
     return float(rest.real.max()) if len(rest) else -math.inf
 
 
-def perron_curve(cfg, table, p_list, dense_every=1, max_step_growth=None):
+def perron_curve(cfg, table, p_list):
     """Track the top eigenvalue of the population fiber along a p path.
 
     Starts from the exact zero mode at p = 0 and follows it by two-sided
-    Rayleigh iteration; every `dense_every` steps the full spectrum is
-    computed to measure the gap to the bulk.  Raises TrackingLossError
-    when the followed eigenvalue jumps by more than the expected fiber
-    derivative allows (branch collision).
+    Rayleigh iteration; at every step the full spectrum is computed to
+    measure the gap to the bulk.  Raises TrackingLossError when the
+    followed eigenvalue jumps by more than the expected fiber derivative
+    allows (branch collision).
     """
     gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(table.levels)),
                       cfg.grid.points_per_axis ** cfg.dim)
@@ -147,25 +143,21 @@ def perron_curve(cfg, table, p_list, dense_every=1, max_step_growth=None):
         cfg.dispersion, cfg.grid_points(), dim=cfg.dim)).max())
     points = []
     prev_p = np.zeros(cfg.dim)
-    for i, p in enumerate(p_list):
+    for p in p_list:
         p = np.atleast_1d(np.asarray(p, dtype=float))
         block = assemble_fiber(cfg, table, p, 0.0)
         eig_new, right, left = _two_sided_rayleigh(
             block.matrix, eig, right, left)
         step = float(np.linalg.norm(p - prev_p))
-        allowed = max_step_growth or (4.0 * grad_scale * step + 1e-8)
+        allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
             raise TrackingLossError(
                 f"eigenvalue moved {abs(eig_new - eig):.3e} over step {step:.3e}"
             )
-        if i % dense_every == 0:
-            eigvals = np.linalg.eigvals(block.matrix)
-            bulk = _bulk_top(eigvals, eig_new)
-        else:
-            bulk = math.nan
+        bulk = _bulk_top(np.linalg.eigvals(block.matrix), eig_new)
         points.append(FiberScanPoint(
             p=tuple(p), eigenvalue=complex(eig_new), bulk_top=bulk,
-            gap=float(eig_new.real - bulk) if math.isfinite(bulk) else math.nan,
+            gap=float(eig_new.real - bulk),
         ))
         eig, prev_p = eig_new, p
     return points
@@ -173,8 +165,6 @@ def perron_curve(cfg, table, p_list, dense_every=1, max_step_growth=None):
 
 def coherence_top(table, bohr):
     """Exact max real part of an a != 0 fiber: -(j(e) + j(e')) / 2."""
-    from .generator import _level_pair
-
     rates = escape_rates(table)
     i, j = _level_pair(np.asarray(table.levels), bohr)
     return -0.5 * (rates[i] + rates[j])

@@ -149,6 +149,26 @@ def test_simulate_bad_ensemble_exits_two(tmp_path, config_path, traj, tfinal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--traj", "256", "--tfinal", "5", "--out", "stats.json",
+     "--dump-paths", "p.csv", "--n-paths", "-1"],
+    ["spectrum", "--steps", "0", "--out", "spectrum.csv"],
+    ["spectrum", "--pmax", "nan", "--out", "spectrum.csv"],
+    ["rates", "--out", "rates.json", "--dump-matrix", "p=nan",
+     "--matrix-out", "matrix.csv"],
+    ["psi", "--x", "inf", "--tmax", "5", "--points", "11", "--out", "psi.csv"],
+], ids=["n-paths", "steps", "pmax", "dump-matrix", "psi-x"])
+def test_bad_cli_arguments_exit_two_without_output(
+        tmp_path, config_path, monkeypatch, capsys, argv):
+    from latticediff import cli
+
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([argv[0], "--config", config_path, *argv[1:]])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kmc_args", [["--kmc-traj", "1"],
                                       ["--kmc-traj", "256", "--kmc-tfinal", "-1"]])
 def test_diffusion_bad_kmc_args_exit_two_before_solving(

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from latticediff import generator
 from latticediff.generator import (GeneratorError, assemble_fiber,
                                    build_rate_table, escape_rates,
                                    gain_kernel_crosscheck, symmetrize)
-from latticediff.model import DispersionSpec, GridSpec, ModelConfig, SpinSystem
+from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
+                               SpinSystem, validate_model)
 from latticediff.presets import reference_1d
 from latticediff.reservoir import BathProfile
 from latticediff.spectral import perron_eigenvalue
@@ -224,3 +228,74 @@ def test_gain_kernel_crosscheck_reverse_channel(ref1d):
     rev = gain_kernel_crosscheck(ref1d, -1.0, [[1.0]])
     assert rev.max_grid_peak_error == pytest.approx(
         fwd.max_grid_peak_error, rel=1e-10)
+
+
+def test_gain_is_built_once_per_table_and_grid(monkeypatch):
+    cfg = ModelConfig(
+        dim=1, dispersion=DispersionSpec("nearest_neighbor"),
+        spin=SpinSystem(levels=(0.0, 0.7, 1.9),
+                        couplings=((0, 0.5, 0.3), (0.5, 0, 0.4), (0.3, 0.4, 0))),
+        beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=1),
+        grid=GridSpec(points_per_axis=10, sphere_nodes=2),
+    )
+    table = build_rate_table(cfg)
+    calls = {"_deposit_kernel": 0, "_circulant_from_kernel": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(generator, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(generator, name, counted)
+    generator._population_gain.cache_clear()
+    blocks = [assemble_fiber(cfg, table, np.array([p]), 0.0)
+              for p in (0.0, 0.3, -1.1)]
+    n_down = sum(c.bohr > 0 for c in table.channels)
+    assert n_down == 3
+    assert calls == {"_deposit_kernel": n_down, "_circulant_from_kernel": n_down}
+    assert all(b.gain is blocks[0].gain for b in blocks)
+    assert not blocks[0].gain.flags.writeable
+
+
+@st.composite
+def _valid_models(draw):
+    """Random d = 1, 2 models with 2-3 levels and Hermitian couplings, ||W|| <= 1."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_lvl = draw(st.integers(2, 3))
+    gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=n_lvl - 1,
+                         max_size=n_lvl - 1))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=n_lvl * n_lvl,
+                     max_size=n_lvl * n_lvl)
+    a = (np.array(draw(parts)) + 1j * np.array(draw(parts))).reshape(n_lvl, n_lvl)
+    w = a + a.conj().T
+    w = w / max(1.0, float(np.linalg.norm(w, 2)))
+    beta = draw(st.floats(0.3, 3.0))
+    cfg = ModelConfig(
+        dim=dim, dispersion=DispersionSpec("nearest_neighbor"),
+        spin=SpinSystem(levels=tuple(np.cumsum([0.0, *gaps])),
+                        couplings=tuple(map(tuple, w))),
+        beta=beta, bath=BathProfile("builtin_gaussian", beta=beta, dim=dim),
+        grid=GridSpec(points_per_axis=draw(st.sampled_from(range(2, 17, 2))),
+                      sphere_nodes=draw(st.integers(4, 12))),
+    )
+    assume(validate_model(cfg).passed)
+    p = np.array(draw(st.lists(st.floats(-math.pi, math.pi),
+                               min_size=dim, max_size=dim)))
+    return cfg, p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_valid_models())
+def test_generator_invariants_on_random_models(model):
+    cfg, p = model
+    table = build_rate_table(cfg)
+    zero = assemble_fiber(cfg, table, np.zeros(cfg.dim), 0.0)
+    scale = float(np.abs(zero.matrix).max())
+    assert np.abs(zero.matrix.real.sum(axis=0)).max() <= 1e-12 * scale
+    assert zero.gain.min() >= 0.0
+    n_cells = cfg.grid.points_per_axis ** cfg.dim
+    gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(table.levels)), n_cells)
+    flux = zero.gain * gibbs
+    assert np.abs(flux - flux.T).max() <= 1e-12 * np.abs(flux).max()
+    assert np.abs(zero.matrix @ gibbs).max() <= 1e-12 * scale
+    moved = assemble_fiber(cfg, table, p, 0.0).matrix
+    off = ~np.eye(zero.size, dtype=bool)
+    assert np.array_equal(moved[off], zero.matrix[off])

@@ -215,3 +215,9 @@ def test_sample_paths_structure(ref1d, ref1d_table):
 def test_sample_paths_rejects_bad_horizon(ref1d, ref1d_table, t_final):
     with pytest.raises(ValueError, match="t_final"):
         sample_paths(ref1d, 2, t_final, table=ref1d_table)
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_sample_paths_rejects_bad_path_count(ref1d, ref1d_table, n_paths):
+    with pytest.raises(ValueError, match="at least 1 path"):
+        sample_paths(ref1d, n_paths, 5.0, table=ref1d_table)

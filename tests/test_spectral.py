@@ -5,7 +5,7 @@ import pytest
 
 from latticediff.generator import assemble_fiber, build_rate_table, symmetrize
 from latticediff.presets import reference_1d, reference_2d
-from latticediff.spectral import (coherence_top,
+from latticediff.spectral import (TrackingLossError, coherence_top,
                                   diffusion_tensor_formula,
                                   diffusion_tensor_hessian, perron_curve,
                                   perron_eigenvalue, spectral_gaps,
@@ -83,6 +83,12 @@ def test_eigencurve_conjugate_symmetry(ref1d, ref1d_table):
     minus = perron_curve(ref1d, ref1d_table, [[-s] for s in ps])
     for a, b in zip(plus, minus):
         assert b.eigenvalue == pytest.approx(np.conj(a.eigenvalue), abs=1e-10)
+
+
+def test_curve_through_nan_fiber_loses_tracking():
+    cfg = reference_1d(n_k=16)
+    with pytest.raises(TrackingLossError):
+        perron_curve(cfg, build_rate_table(cfg), [[0.0], [math.nan]])
 
 
 def test_gaps_positive_and_coherence_exact(ref1d, ref1d_table, gaps):
