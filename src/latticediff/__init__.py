@@ -21,10 +21,10 @@ from .reservoir import (BathProfile, CorrelationSample, QuadSpec,
                         correlation_samples, gain_coefficient_position,
                         gain_coefficient_sphere, lamb_shift, psi_hat, psi_xt)
 from .generator import (JumpRateTable, assemble_fiber, build_rate_table,
-                        escape_rates, gain_kernel_crosscheck, symmetrize)
-from .spectral import (diffusion_tensor_formula, diffusion_tensor_hessian,
-                       perron_curve, perron_eigenvalue, spectral_gaps,
-                       stationary_state)
+                        escape_rates, gain_kernel_crosscheck)
+from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
+                       diffusion_tensor_hessian, perron_curve,
+                       perron_eigenvalue, spectral_gaps, stationary_state)
 from .kmc import EnsembleStats, run_ensemble
 from .diagrams import (Diagram, DiagramClass, check_lemma_bounds, classify,
                        enumerate_pairings, integrate_unconstrained, mir_shape)
@@ -36,11 +36,12 @@ __all__ = [
     "ValidationError", "assemble_fiber", "build_rate_table",
     "check_lemma_bounds", "check_subluminal_decay",
     "check_time_integrability", "classify", "correlation_samples",
-    "diffusion_tensor_formula", "diffusion_tensor_hessian",
-    "dispersion_eval", "dispersion_grad", "enumerate_pairings",
+    "diffusion_tensor_continuum", "diffusion_tensor_formula",
+    "diffusion_tensor_hessian", "dispersion_eval", "dispersion_grad",
+    "enumerate_pairings",
     "escape_rates", "gain_coefficient_position", "gain_coefficient_sphere",
     "gain_kernel_crosscheck", "integrate_unconstrained", "lamb_shift",
     "mir_shape", "model_from_json", "perron_curve", "perron_eigenvalue",
     "psi_hat", "psi_xt", "run_ensemble", "spectral_gaps",
-    "stationary_state", "symmetrize", "validate_model",
+    "stationary_state", "validate_model",
 ]

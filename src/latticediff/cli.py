@@ -24,8 +24,8 @@ from .model import (NumericError, ValidationError, ensure_valid,
                     model_from_json, validate_model)
 from .reservoir import check_subluminal_decay, correlation_samples
 from .generator import assemble_fiber, build_rate_table, escape_rates
-from .spectral import (diffusion_tensor_formula, diffusion_tensor_hessian,
-                       perron_curve, spectral_gaps)
+from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
+                       diffusion_tensor_hessian, perron_curve, spectral_gaps)
 from .kmc import check_ensemble_args, run_ensemble, sample_paths
 from .diagrams import (DiagramError, check_lemma_bounds, classify,
                        enumerate_pairings)
@@ -229,6 +229,7 @@ def cmd_diffusion(args):
     payload = {
         "hessian": hess.tensor.tolist(),
         "formula": formula.tolist(),
+        "continuum": diffusion_tensor_continuum(cfg, table).tolist(),
         "hessian_gradient_norm": hess.gradient_norm,
         "hessian_richardson_defect": hess.richardson_defect,
         "gaps": gaps.to_dict(),
@@ -390,7 +391,7 @@ def main(argv=None):
     args.wall_time = lambda: time.time() - start
     try:
         return args.func(args)
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

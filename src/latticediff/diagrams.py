@@ -350,6 +350,8 @@ def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0, t_max=None):
     Estimates use the pinned-endpoint sampler; each comparison passes when
     the estimate does not exceed its bound by more than three sigma.
     """
+    if mc_samples < 1:
+        raise ValueError(f"need at least 1 Monte Carlo sample, got {mc_samples}")
     norms = kernel_norms(k, a)
     if not norms["t_exp_weighted"] < 1.0:
         raise PreconditionError(

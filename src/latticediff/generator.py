@@ -10,7 +10,8 @@ emitting) kernels and defining the reverse kernel as the scaled transpose.
 
 Translation invariance also makes the gain independent of the fiber momentum
 p: it is built once per (rate table, grid) and every fiber shares it
-read-only, adding only its loss and p-dependent kinetic diagonals.
+read-only, adding only its loss and p-dependent kinetic diagonals.  At
+p = 0 it splits the fiber into one small level block per Fourier mode.
 """
 
 import functools
@@ -187,6 +188,37 @@ def _population_gain(table, n_axis):
     return gain
 
 
+def _mode_blocks(table, kernel_hat):
+    """The p = 0 population fiber as one L x L block A(x) per Fourier mode.
+
+    The gain is circulant and the loss does not depend on k, so M(0) splits
+    exactly over the modes x of the momentum grid.  `kernel_hat(radius)`
+    returns a downward channel's kernel transform over the modes; the
+    reverse channel takes its conjugate, as `_population_gain` takes the
+    transpose, and the escape rates sit on the diagonal.  Returns an array
+    of shape (modes, L, L).
+    """
+    rates = escape_rates(table)
+    amplitude = {(c.source, c.target): c.amplitude for c in table.channels}
+    down = [c for c in table.channels if c.bohr > 0]
+    k_hats = [np.asarray(kernel_hat(c.radius)) for c in down]
+    n_lvl = len(rates)
+    blocks = np.zeros((k_hats[0].size, n_lvl, n_lvl), dtype=complex)
+    for c, k_hat in zip(down, k_hats):
+        blocks[:, c.target, c.source] = c.amplitude * k_hat
+        blocks[:, c.source, c.target] = (amplitude[(c.target, c.source)]
+                                         * np.conj(k_hat))
+    blocks[:, np.arange(n_lvl), np.arange(n_lvl)] = -rates
+    return blocks
+
+
+def _grid_mode_blocks(table, n_axis):
+    """`_mode_blocks` on the N^d grid: kernel transforms by FFT, C order."""
+    return _mode_blocks(table, lambda radius: np.fft.fftn(_deposit_kernel(
+        radius, table.node_array, table.weight_array, n_axis,
+        table.dim)).ravel())
+
+
 @dataclass(frozen=True)
 class FiberBlock:
     """One assembled fiber operator on the grid (times levels for a = 0).
@@ -271,20 +303,6 @@ def _level_pair(levels, bohr):
                                        rel_tol=0.0, abs_tol=1e-12):
                 return i, j
     raise GeneratorError(f"{bohr} is not a level difference of the model")
-
-
-def symmetrize(block, spin, beta):
-    """Similarity transform exp(beta Y / 2) M exp(-beta Y / 2) of a block.
-
-    For the population block at p = 0 the result is a real symmetric
-    matrix with the same spectrum, which is what the spectral module
-    diagonalizes and inverts.
-    """
-    matrix = block.matrix if isinstance(block, FiberBlock) else np.asarray(block)
-    n_lvl = len(spin.levels)
-    n_cells = matrix.shape[0] // n_lvl
-    half = np.exp(0.5 * beta * np.repeat(np.asarray(spin.levels), n_cells))
-    return matrix * np.outer(half, 1.0 / half)
 
 
 @dataclass(frozen=True)

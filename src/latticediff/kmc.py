@@ -204,10 +204,6 @@ class CgfEstimate:
     se_imag: float
     sample_mean: complex     # the raw ensemble average E[exp(-i p . x_t)]
 
-    @property
-    def mean_magnitude(self):
-        return abs(self.sample_mean)
-
     def to_dict(self):
         return {
             "probe": list(self.probe),
@@ -281,8 +277,11 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
     (1/t) log E[exp(-i p . x_t)] at those fiber momenta.
     """
     check_ensemble_args(n_traj, t_final)
-    proc = _Process(table if table is not None else build_rate_table(cfg))
     probes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in probes]
+    if not all(np.isfinite(p).all() for p in probes):
+        raise ValueError("probe momenta must be finite, got "
+                         f"{[p.tolist() for p in probes]}")
+    proc = _Process(table if table is not None else build_rate_table(cfg))
     sizes = [block_size] * (n_traj // block_size)
     if n_traj % block_size:
         sizes.append(n_traj % block_size)

@@ -9,7 +9,7 @@ construction and safe to share across threads.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,16 +128,6 @@ class SpinSystem:
     @property
     def w(self):
         return np.asarray(self.couplings, dtype=complex)
-
-    def bohr_frequencies(self):
-        """Sorted list of all level differences e - e', including 0."""
-        e = np.asarray(self.levels)
-        diffs = {0.0}
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    diffs.add(float(e[i] - e[j]))
-        return sorted(diffs)
 
     def gibbs_weights(self, beta):
         w = np.exp(-beta * np.asarray(self.levels))
@@ -290,18 +280,8 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed and c.severity == "warning"]
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "severity": c.severity,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed,
+                "checks": [asdict(c) for c in self.checks]}
 
 
 def _fgr_graph_connected(cfg):

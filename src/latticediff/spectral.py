@@ -4,9 +4,11 @@ The population fiber at p = 0 is a Markov generator whose kernel is the
 Gibbs-in-level, flat-in-momentum state; its top eigenvalue moves off zero
 quadratically in the fiber momentum p, and the (positive definite) matrix
 of that quadratic decay rate is the diffusion tensor.  Two independent
-routes compute it: finite differences of the tracked top eigenvalue, and
-a kernel-projected linear solve in the similarity-transformed (symmetric)
-frame.  Both are cross-checked against kinetic Monte Carlo elsewhere.
+routes compute it on the grid: finite differences of the tracked top
+eigenvalue, and the resolvent formula solved per Fourier mode, where the
+p = 0 fiber is one small level block.  The same per-mode formula with the
+exact sphere average gives the grid-free tensor (the `continuum` entry of
+`diffusion.json`), which kinetic Monte Carlo estimates.
 """
 
 import math
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .generator import (_level_pair, assemble_fiber, build_rate_table,
-                        escape_rates, symmetrize)
+from .generator import (_grid_mode_blocks, _level_pair, _mode_blocks,
+                        assemble_fiber, build_rate_table, escape_rates)
 from .model import NumericError, dispersion_grad
+from .sphere import plane_wave_average
 
 
 class ConvergenceError(NumericError):
@@ -324,74 +327,66 @@ def diffusion_tensor_hessian(cfg, table=None, h=1e-3):
     )
 
 
-def _projected_cg(apply_a, b, project, tol=1e-10, max_iter=None):
-    """Conjugate gradients for a PSD operator restricted off its kernel."""
-    n = len(b)
-    max_iter = max_iter or 10 * n
-    x = np.zeros_like(b)
-    r = project(b.copy())
-    p = r.copy()
-    rs = r @ r
-    b_norm = math.sqrt(float(b @ b)) or 1.0
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= tol * b_norm:
-            return x
-        ap = project(apply_a(p))
-        alpha = rs / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = r @ r
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(
-        f"projected CG stalled at residual {math.sqrt(rs) / b_norm:.2e}"
-    )
+def _resolvent_contraction(cfg, beta, blocks):
+    """D_ij = 2 Re sum_x conj(beta_i(x)) beta_j(x) r(x), symmetrised.
+
+    r(x) = 1^T (-A(x))^-1 pi is the level-summed resolvent of the mode
+    block A(x) applied to the Gibbs level weights pi: one batched L x L
+    solve over all modes.  beta has shape (d, modes) and blocks
+    (modes, L, L); the caller leaves out the kernel mode x = 0.
+    """
+    gibbs = cfg.spin.gibbs_weights(cfg.beta)
+    rhs = np.broadcast_to(gibbs[:, None], (len(blocks), len(gibbs), 1))
+    r = np.linalg.solve(-blocks, rhs)[..., 0].sum(axis=1)
+    tensor = 2.0 * np.einsum("ix,jx,x->ij", beta.conj(), beta, r).real
+    return 0.5 * (tensor + tensor.T)
 
 
-def diffusion_tensor_formula(cfg, table=None, tol=1e-10):
-    """Diffusion tensor from the symmetrized resolvent formula.
+def diffusion_tensor_formula(cfg, table=None):
+    """Diffusion tensor of the grid generator from the resolvent formula.
 
-    In the similarity-transformed frame the population block is symmetric
-    negative semidefinite with a one-dimensional kernel; the tensor is
+    With pi the Gibbs x uniform kernel of M(0), the tensor is
 
-        D_ij = 2 <b_i, (-M)^-1 b_j> / <phi, phi>,
-        b_i = (d eps / d k_i) phi,
+        D_ij = 2 sum_{k,e} d_i eps(k) [(-M(0))^-1 (d_j eps pi)](k, e),
 
-    where phi is the transformed stationary vector and the inverse is
-    taken on the kernel's orthogonal complement by projected conjugate
-    gradients.  The velocity rows b_i are odd under k -> -k while phi is
-    even, so solvability (b_i orthogonal to the kernel) holds exactly.
+    the inverse taken off the kernel.  M(0) is block-diagonal over the
+    Fourier modes x of the grid, so with beta_i = ifftn(d_i eps) this is
+    the per-mode contraction of `_resolvent_contraction` over x != 0.
+    The velocity is odd in k, so beta_i(0) = 0 (solvability) holds exactly
+    up to roundoff; a flat dispersion gives beta = 0 and D = 0.
     """
     if table is None:
         table = build_rate_table(cfg)
-    block = assemble_fiber(cfg, table, np.zeros(cfg.dim), 0.0)
-    sym = symmetrize(block, cfg.spin, cfg.beta).real
-    n_cells = cfg.grid.points_per_axis ** cfg.dim
-    n_lvl = len(table.levels)
-    phi = np.repeat(np.exp(-0.5 * cfg.beta * np.asarray(table.levels)), n_cells)
-    grad = dispersion_grad(cfg.dispersion, cfg.grid_points(), dim=cfg.dim)
-    q = phi / np.linalg.norm(phi)
+    d, n_axis = cfg.dim, cfg.grid.points_per_axis
+    grad = dispersion_grad(cfg.dispersion, cfg.grid_points(), dim=d)
+    beta = np.fft.ifftn(grad.T.reshape((d,) + (n_axis,) * d),
+                        axes=tuple(range(1, d + 1))).reshape(d, -1)
+    defect = np.abs(beta[:, 0]) > 1e-10 * np.linalg.norm(beta, axis=1)
+    if defect.any():
+        raise ConvergenceError(f"velocity rows {np.flatnonzero(defect).tolist()}"
+                               " are not orthogonal to the kernel")
+    blocks = _grid_mode_blocks(table, n_axis)
+    return _resolvent_contraction(cfg, beta[:, 1:], blocks[1:])
 
-    def project(vec):
-        return vec - (q @ vec) * q
 
-    def apply_a(vec):
-        return -(sym @ vec)
+def diffusion_tensor_continuum(cfg, table=None):
+    """Grid-free diffusion tensor D_inf of the same resolvent formula.
 
+    A cosine-series velocity lives on the position modes x = +-m e_i
+    alone, with beta_i(+-m e_i) = +-i m c_im / 2, and there a channel of
+    radius r transforms as the exact sphere average
+    plane_wave_average(d, r |x|) instead of a deposited kernel.  KMC keeps
+    the momentum continuous, so it estimates this tensor, which the grid
+    tensor approaches at O(N^-2).
+    """
+    if table is None:
+        table = build_rate_table(cfg)
     d = cfg.dim
-    tensor = np.zeros((d, d))
-    solutions = []
-    for i in range(d):
-        b = np.tile(grad[:, i], n_lvl) * phi
-        overlap = abs(q @ b) / (np.linalg.norm(b) or 1.0)
-        if overlap > 1e-10:
-            raise ConvergenceError(
-                f"velocity row {i} not orthogonal to the kernel ({overlap:.2e})"
-            )
-        solutions.append(_projected_cg(apply_a, b, project, tol=tol))
-    norm2 = float(phi @ phi)
-    for i in range(d):
-        b_i = np.tile(grad[:, i], n_lvl) * phi
-        for j in range(d):
-            tensor[i, j] = 2.0 * float(b_i @ solutions[j]) / norm2
-    return 0.5 * (tensor + tensor.T)
+    coeffs = cfg.dispersion.per_axis(d)
+    axis, m, sign = (a.ravel() for a in np.meshgrid(
+        np.arange(d), np.arange(1, coeffs.shape[1] + 1), [1, -1],
+        indexing="ij"))
+    beta = np.zeros((d, axis.size), dtype=complex)
+    beta[axis, np.arange(axis.size)] = 0.5j * sign * m * coeffs[axis, m - 1]
+    blocks = _mode_blocks(table, lambda r: plane_wave_average(d, r * m))
+    return _resolvent_contraction(cfg, beta, blocks)

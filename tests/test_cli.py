@@ -102,6 +102,7 @@ def test_diffusion_json_has_all_methods(tmp_path, config_path):
     payload = json.loads(out.read_text())
     assert payload["hessian"][0][0] > 0
     assert payload["formula"][0][0] > 0
+    assert payload["continuum"][0][0] > 0
     assert payload["kmc"][0][0] > 0
     assert payload["kmc_se"][0][0] > 0
     assert "manifest_hash" in payload
@@ -157,7 +158,9 @@ def test_simulate_bad_ensemble_exits_two(tmp_path, config_path, traj, tfinal):
     ["rates", "--out", "rates.json", "--dump-matrix", "p=nan",
      "--matrix-out", "matrix.csv"],
     ["psi", "--x", "inf", "--tmax", "5", "--points", "11", "--out", "psi.csv"],
-], ids=["n-paths", "steps", "pmax", "dump-matrix", "psi-x"])
+    ["simulate", "--traj", "256", "--tfinal", "5", "--probes", "nan",
+     "--out", "stats.json"],
+], ids=["n-paths", "steps", "pmax", "dump-matrix", "psi-x", "probes"])
 def test_bad_cli_arguments_exit_two_without_output(
         tmp_path, config_path, monkeypatch, capsys, argv):
     from latticediff import cli
@@ -184,6 +187,32 @@ def test_diffusion_bad_kmc_args_exit_two_before_solving(
                      *kmc_args])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_singular_solve_exits_one(tmp_path, config_path, monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError; it is still a numeric failure
+    import numpy as np
+    from latticediff import cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "diffusion_tensor_formula", singular)
+    out = tmp_path / "diff.json"
+    code = cli.main(["diffusion", "--config", config_path, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_diagrams_rejects_nonpositive_samples(tmp_path, samples):
+    out = tmp_path / "d1.json"
+    result = _run("diagrams", "--check-d1", "--samples", samples,
+                  "--out", str(out))
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "ValueError"
     assert not out.exists()
 
 

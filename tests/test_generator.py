@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from latticediff import generator
 from latticediff.generator import (GeneratorError, assemble_fiber,
                                    build_rate_table, escape_rates,
-                                   gain_kernel_crosscheck, symmetrize)
+                                   gain_kernel_crosscheck)
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                SpinSystem, validate_model)
-from latticediff.presets import reference_1d
+from latticediff.presets import reference_1d, reference_2d
 from latticediff.reservoir import BathProfile
 from latticediff.spectral import perron_eigenvalue
 
@@ -134,22 +134,37 @@ def test_coherence_block_carries_lamb_shift(ref1d, ref1d_table):
                           np.diag(plain.matrix).real)
 
 
-def test_symmetrized_block_is_symmetric(ref1d, ref1d_block):
-    sym = symmetrize(ref1d_block, ref1d.spin, ref1d.beta)
-    assert np.max(np.abs(sym - sym.T)) <= 1e-10
+def _assert_symmetric_flux(cfg, block):
+    """Detailed balance: the stationary flux gain[t, s] * gibbs[s] is symmetric."""
+    n_cells = block.size // len(cfg.spin.levels)
+    gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(cfg.spin.levels)), n_cells)
+    flux = block.gain * gibbs
+    assert np.abs(flux - flux.T).max() <= 1e-12 * np.abs(flux).max()
 
 
-def test_symmetrization_preserves_spectrum(ref1d, ref1d_block):
-    sym = symmetrize(ref1d_block, ref1d.spin, ref1d.beta)
-    ev_sym = np.sort(np.linalg.eigvalsh(sym))
-    ev_orig = np.sort(np.linalg.eigvals(ref1d_block.matrix).real)
-    assert np.max(np.abs(ev_sym - ev_orig)) <= 1e-8 * max(1.0, np.abs(ev_sym).max())
+def _assert_mode_spectrum_matches_dense(cfg, table, block):
+    """The stacked spectra of the mode blocks A(x) are the spectrum of M(0)."""
+    blocks = generator._grid_mode_blocks(table, cfg.grid.points_per_axis)
+    stacked = np.linalg.eigvals(blocks).ravel()
+    dense = np.linalg.eigvals(block.matrix)
+    scale = float(np.abs(block.matrix).max())
+    assert np.abs(np.sort(stacked.real) - np.sort(dense.real)).max() \
+        <= 1e-11 * scale
+    assert max(np.abs(stacked.imag).max(), np.abs(dense.imag).max()) \
+        <= 1e-11 * scale
 
 
-def test_symmetrization_trivial_for_single_level():
-    spin = SpinSystem(levels=(0.7,), couplings=((0,),))
-    mat = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(symmetrize(mat, spin, beta=2.0), mat)
+def test_gain_flux_is_symmetric(ref1d, ref1d_block):
+    _assert_symmetric_flux(ref1d, ref1d_block)
+
+
+@pytest.mark.parametrize("make", [reference_1d, reference_2d],
+                         ids=["1d", "2d"])
+def test_mode_blocks_match_dense_spectrum(make):
+    cfg = make(n_k=8)
+    table = build_rate_table(cfg)
+    block = assemble_fiber(cfg, table, np.zeros(cfg.dim), 0.0)
+    _assert_mode_spectrum_matches_dense(cfg, table, block)
 
 
 def test_momentum_relabel_maps_fiber_to_opposite(ref1d, ref1d_table):
@@ -208,8 +223,7 @@ def test_two_dimensional_block_structure(ref2d):
     n = ref2d.grid.points_per_axis ** 2
     phi = np.concatenate([np.full(n, 1.0), np.full(n, math.exp(-ref2d.beta))])
     assert np.max(np.abs(block.matrix @ phi)) <= 1e-10
-    sym = symmetrize(block, ref2d.spin, ref2d.beta)
-    assert np.max(np.abs(sym - sym.T)) <= 1e-10
+    _assert_symmetric_flux(ref2d, block)
 
 
 def test_gain_kernel_crosscheck_quadrature_clause(ref1d):
@@ -299,3 +313,5 @@ def test_generator_invariants_on_random_models(model):
     moved = assemble_fiber(cfg, table, p, 0.0).matrix
     off = ~np.eye(zero.size, dtype=bool)
     assert np.array_equal(moved[off], zero.matrix[off])
+    if cfg.grid.points_per_axis <= 8:
+        _assert_mode_spectrum_matches_dense(cfg, table, zero)
