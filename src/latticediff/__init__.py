@@ -23,8 +23,8 @@ from .reservoir import (BathProfile, CorrelationSample, QuadSpec,
 from .generator import (JumpRateTable, assemble_fiber, build_rate_table,
                         escape_rates, gain_kernel_crosscheck)
 from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
-                       diffusion_tensor_hessian, perron_curve,
-                       perron_eigenvalue, spectral_gaps, stationary_state)
+                       diffusion_tensor_hessian, perron_curve, spectral_gaps,
+                       stationary_state)
 from .kmc import EnsembleStats, run_ensemble
 from .diagrams import (Diagram, DiagramClass, check_lemma_bounds, classify,
                        enumerate_pairings, integrate_unconstrained, mir_shape)
@@ -41,7 +41,6 @@ __all__ = [
     "enumerate_pairings",
     "escape_rates", "gain_coefficient_position", "gain_coefficient_sphere",
     "gain_kernel_crosscheck", "integrate_unconstrained", "lamb_shift",
-    "mir_shape", "model_from_json", "perron_curve", "perron_eigenvalue",
-    "psi_hat", "psi_xt", "run_ensemble", "spectral_gaps",
-    "stationary_state", "validate_model",
+    "mir_shape", "model_from_json", "perron_curve", "psi_hat", "psi_xt",
+    "run_ensemble", "spectral_gaps", "stationary_state", "validate_model",
 ]

@@ -134,6 +134,10 @@ def cmd_validate(args):
 
 
 def cmd_psi(args):
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        raise ValueError(f"--tmax must be finite and positive, got {args.tmax}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = _load_config(args)
     x = _parse_vector(args.x, cfg.dim)
     times = np.linspace(0.0, args.tmax, args.points)

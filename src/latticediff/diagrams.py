@@ -275,12 +275,13 @@ def _shape_laplace_mc(k, a, shape, mc_samples, t_max, seed, strata=16):
 
     The first and last of the 2n times are pinned to the interval ends
     (the boundary measure of spanning diagrams); the 2n - 2 interior times
-    are an ordered uniform sample, stratified over the outer t.
+    are an ordered uniform sample, stratified over the outer t.  Returns
+    (estimate, sigma, samples drawn); n = 1 is a closed form and draws none.
     """
     n = shape.size
     if n == 1:
         val = _norm(k, a, upper=t_max)
-        return val, 0.0
+        return val, 0.0, 0
     inner = 2 * n - 2
     rng = np.random.default_rng([seed, 11, n, hash(shape.pairs) % (1 << 32)])
     edges = np.linspace(0.0, t_max, strata + 1)
@@ -302,7 +303,7 @@ def _shape_laplace_mc(k, a, shape, mc_samples, t_max, seed, strata=16):
         vals = weight * np.prod(k(lags), axis=1)
         total += float(vals.mean())
         var += float(vals.var(ddof=1) / per)
-    return total, math.sqrt(var)
+    return total, math.sqrt(var), strata * per
 
 
 @dataclass(frozen=True)
@@ -326,6 +327,7 @@ class BoundReport:
     minimally_irreducible: BoundCheck
     irreducible: BoundCheck
     irreducible_two_plus: BoundCheck
+    samples: int         # Monte Carlo samples drawn, after the per-shape floors
 
     @property
     def passed(self):
@@ -339,6 +341,7 @@ class BoundReport:
             "irreducible": self.irreducible.to_dict(),
             "irreducible_two_plus": self.irreducible_two_plus.to_dict(),
             "passed": self.passed,
+            "samples": self.samples,
         }
 
 
@@ -364,12 +367,13 @@ def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0, t_max=None):
     if t_max is None:
         t_max = _laplace_t_cutoff(k, a)
 
-    mir_val, mir_var = 0.0, 0.0
+    mir_val, mir_var, drawn = 0.0, 0.0, 0
     for n in range(1, n_max + 1):
-        est, sig = _shape_laplace_mc(k, a, mir_shape(n),
-                                     mc_samples // n_max, t_max, seed)
+        est, sig, used = _shape_laplace_mc(k, a, mir_shape(n),
+                                           mc_samples // n_max, t_max, seed)
         mir_val += est
         mir_var += sig ** 2
+        drawn += used
     mir_bound = norms["exp_weighted"] / (1.0 - norms["t_exp_weighted"])
 
     ir_val, ir_var = 0.0, 0.0
@@ -378,7 +382,8 @@ def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0, t_max=None):
         shapes = irreducible_shapes(n)
         budget = max(2048, mc_samples // (n_max * len(shapes)))
         for shape in shapes:
-            est, sig = _shape_laplace_mc(k, a, shape, budget, t_max, seed)
+            est, sig, used = _shape_laplace_mc(k, a, shape, budget, t_max, seed)
+            drawn += used
             ir_val += est
             ir_var += sig ** 2
             if n >= 2:
@@ -394,4 +399,5 @@ def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0, t_max=None):
         minimally_irreducible=BoundCheck(mir_val, math.sqrt(mir_var), mir_bound),
         irreducible=BoundCheck(ir_val, math.sqrt(ir_var), ir_bound),
         irreducible_two_plus=BoundCheck(ir2_val, math.sqrt(ir2_var), ir2_bound),
+        samples=drawn,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericError, dispersion_eval
+from .model import NumericError
 from .sphere import direction_nodes, surface_area
 
 
@@ -244,9 +244,15 @@ class FiberBlock:
 
 
 def _kinetic_difference(cfg, p):
+    """eps(k + p/2) - eps(k - p/2), summed per axis and harmonic as
+    c_im [cos(m(k_i - p_i/2)) - cos(m(k_i + p_i/2))]: an axis with p_i = 0
+    adds exact zeros, so the fiber splits over it (spectral._sectors)."""
+    coeffs = cfg.dispersion.per_axis(cfg.dim)
+    harmonics = np.arange(1, coeffs.shape[1] + 1)
     kpts = cfg.grid_points()
-    return (dispersion_eval(cfg.dispersion, kpts + p / 2.0, dim=cfg.dim)
-            - dispersion_eval(cfg.dispersion, kpts - p / 2.0, dim=cfg.dim))
+    terms = (np.cos(np.multiply.outer(kpts - p / 2.0, harmonics))
+             - np.cos(np.multiply.outer(kpts + p / 2.0, harmonics)))
+    return np.einsum("nim,im->n", terms, coeffs)
 
 
 def assemble_fiber(cfg, table, p, bohr=0.0, lamb_shifts=None):

@@ -9,6 +9,9 @@ eigenvalue, and the resolvent formula solved per Fourier mode, where the
 p = 0 fiber is one small level block.  The same per-mode formula with the
 exact sphere average gives the grid-free tensor (the `continuum` entry of
 `diffusion.json`), which kinetic Monte Carlo estimates.
+
+Gaps, spectra and the Hessian work per Fourier sector (`_sectors`) of
+each fiber's free axes; a 1-d fiber at p != 0 has none and stays whole.
 """
 
 import math
@@ -100,21 +103,6 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0=None, tol=1e-13, max_iter=60):
     )
 
 
-def perron_eigenvalue(matrix):
-    """Eigenvalue of maximal real part with its right and left eigenvectors.
-
-    The full dense spectrum locates the top eigenvalue, which shifted
-    two-sided Rayleigh iteration then refines.
-    """
-    m = np.asarray(matrix)
-    eigvals = np.linalg.eigvals(m)
-    sigma0 = eigvals[np.argmax(eigvals.real)]
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
-    # one plain inverse iteration step pulls v0 toward the target space
-    return _two_sided_rayleigh(m, sigma0 + 1e-10 * np.abs(m).max(), v0)
-
-
 @dataclass(frozen=True)
 class FiberScanPoint:
     p: tuple
@@ -128,14 +116,62 @@ def _bulk_top(eigvals, tracked):
     return float(rest.real.max()) if len(rest) else -math.inf
 
 
+def _sectors(block, cfg):
+    """Free axes F of a population fiber and its sector blocks B(x_F).
+
+    An axis is free when the kinetic diagonal is exactly constant along it
+    (p_i = 0, or a flat dispersion row); the gain is circulant, so M(p)
+    is block-diagonal over the Fourier modes x_F of the free axes.  The
+    stack, shape (N^|F|, L N^(d-|F|), L N^(d-|F|)) in C order over x_F, is
+    the partial fftn over the target free axes of the source slice z_F = 0.
+    At p = 0 it is `_grid_mode_blocks`; with no free axis, the one block.
+    """
+    d, n_axis = cfg.dim, cfg.grid.points_per_axis
+    grid = (n_axis,) * d
+    kinetic = block.kinetic[:n_axis ** d].reshape(grid)
+    free = tuple(i for i in range(d)
+                 if np.all(kinetic == kinetic.take([0], axis=i)))
+    n_lvl = block.size // n_axis ** d
+    index = [slice(None)] * (2 * d + 2)
+    for i in free:
+        index[d + 2 + i] = 0
+    target = [1 + i for i in free]
+    sliced = np.fft.fftn(block.matrix.reshape((n_lvl,) + grid + (n_lvl,) + grid)
+                         [tuple(index)], axes=target)
+    size = n_lvl * n_axis ** (d - len(free))
+    return free, np.moveaxis(sliced, target, range(len(free))).reshape(
+        -1, size, size)
+
+
+def _track_top(cfg, block, sigma, right, left=None):
+    """Two-sided Rayleigh on the x_F = 0 sector; returns (eig, right, left,
+    sector stack).  The vectors live in full grid x level space: a sum over
+    the free axes projects them, broadcasting back over N^|F| lifts them."""
+    free, stack = _sectors(block, cfg)
+    n_axis = cfg.grid.points_per_axis
+    full = (block.size // n_axis ** cfg.dim,) + (n_axis,) * cfg.dim
+    axes = tuple(1 + i for i in free)
+    kept = [1 if j in axes else n for j, n in enumerate(full)]
+
+    def project(v):
+        return None if v is None else np.reshape(v, full).sum(axis=axes).ravel()
+
+    def lift(u):
+        return (np.broadcast_to(u.reshape(kept), full) / n_axis ** len(free)).ravel()
+
+    eig, v, w = _two_sided_rayleigh(stack[0], sigma, project(right),
+                                    project(left))
+    return eig, lift(v), lift(w), stack
+
+
 def perron_curve(cfg, table, p_list):
     """Track the top eigenvalue of the population fiber along a p path.
 
     Starts from the exact zero mode at p = 0 and follows it by two-sided
-    Rayleigh iteration; at every step the full spectrum is computed to
-    measure the gap to the bulk.  Raises TrackingLossError when the
-    followed eigenvalue jumps by more than the expected fiber derivative
-    allows (branch collision).
+    Rayleigh iteration on the x_F = 0 sector; at every step the spectra of
+    all sectors are computed to measure the gap to the bulk.  Raises
+    TrackingLossError when the followed eigenvalue jumps by more than the
+    expected fiber derivative allows (branch collision).
     """
     gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(table.levels)),
                       cfg.grid.points_per_axis ** cfg.dim)
@@ -149,15 +185,14 @@ def perron_curve(cfg, table, p_list):
     for p in p_list:
         p = np.atleast_1d(np.asarray(p, dtype=float))
         block = assemble_fiber(cfg, table, p, 0.0)
-        eig_new, right, left = _two_sided_rayleigh(
-            block.matrix, eig, right, left)
+        eig_new, right, left, stack = _track_top(cfg, block, eig, right, left)
         step = float(np.linalg.norm(p - prev_p))
         allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
             raise TrackingLossError(
                 f"eigenvalue moved {abs(eig_new - eig):.3e} over step {step:.3e}"
             )
-        bulk = _bulk_top(np.linalg.eigvals(block.matrix), eig_new)
+        bulk = _bulk_top(np.linalg.eigvals(stack).ravel(), eig_new)
         points.append(FiberScanPoint(
             p=tuple(p), eigenvalue=complex(eig_new), bulk_top=bulk,
             gap=float(eig_new.real - bulk),
@@ -236,8 +271,8 @@ def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
     large_points = []
     g_high = math.inf
     for p in p_large:
-        block = assemble_fiber(cfg, table, p, 0.0)
-        top = float(np.linalg.eigvals(block.matrix).real.max())
+        _, stack = _sectors(assemble_fiber(cfg, table, p, 0.0), cfg)
+        top = float(np.linalg.eigvals(stack).real.max())
         top = max(top, coh_max)
         large_points.append((tuple(p), top))
         g_high = min(g_high, -top)
@@ -249,12 +284,6 @@ def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
     )
 
 
-def _track_eigenvalue_at(cfg, table, p, gibbs):
-    block = assemble_fiber(cfg, table, np.asarray(p, dtype=float), 0.0)
-    eig, _, _ = _two_sided_rayleigh(block.matrix, 0.0, gibbs)
-    return eig
-
-
 def _hessian_once(cfg, table, h, gibbs):
     d = cfg.dim
     f = {}
@@ -262,7 +291,8 @@ def _hessian_once(cfg, table, h, gibbs):
     def at(vec):
         key = tuple(np.round(np.asarray(vec) / h).astype(int))
         if key not in f:
-            f[key] = _track_eigenvalue_at(cfg, table, np.asarray(vec, float), gibbs)
+            block = assemble_fiber(cfg, table, np.asarray(vec, float), 0.0)
+            f[key] = _track_top(cfg, block, 0.0, gibbs)[0]
         return f[key]
 
     center = at(np.zeros(d))

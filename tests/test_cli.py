@@ -160,7 +160,14 @@ def test_simulate_bad_ensemble_exits_two(tmp_path, config_path, traj, tfinal):
     ["psi", "--x", "inf", "--tmax", "5", "--points", "11", "--out", "psi.csv"],
     ["simulate", "--traj", "256", "--tfinal", "5", "--probes", "nan",
      "--out", "stats.json"],
-], ids=["n-paths", "steps", "pmax", "dump-matrix", "psi-x", "probes"])
+    ["psi", "--tmax", "nan", "--out", "psi.csv"],
+    ["psi", "--tmax", "inf", "--out", "psi.csv"],
+    ["psi", "--tmax", "0", "--out", "psi.csv"],
+    ["psi", "--tmax", "-5", "--out", "psi.csv"],
+    ["psi", "--tmax", "5", "--points", "0", "--out", "psi.csv"],
+], ids=["n-paths", "steps", "pmax", "dump-matrix", "psi-x", "probes",
+        "psi-tmax-nan", "psi-tmax-inf", "psi-tmax-zero", "psi-tmax-negative",
+        "psi-points"])
 def test_bad_cli_arguments_exit_two_without_output(
         tmp_path, config_path, monkeypatch, capsys, argv):
     from latticediff import cli
@@ -214,6 +221,21 @@ def test_diagrams_rejects_nonpositive_samples(tmp_path, samples):
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "ValueError"
     assert not out.exists()
+
+
+def test_diagrams_report_records_samples_drawn(tmp_path):
+    # --samples 1 puts every Monte Carlo shape at its floor: 16 strata of 64
+    # for each minimally irreducible shape of size 2..4, 16 strata of 128
+    # (a 2048 budget) for each irreducible one; size 1 is a closed form
+    from latticediff.diagrams import irreducible_shapes
+
+    out = tmp_path / "d1.json"
+    result = _run("diagrams", "--check-d1", "--samples", "1", "--out", str(out))
+    assert result.returncode == 0
+    n_irreducible = sum(len(irreducible_shapes(n)) for n in (2, 3, 4))
+    assert json.loads(out.read_text())["samples"] == 3 * 16 * 64 + n_irreducible * 2048
+    manifest = json.loads((tmp_path / "d1.manifest.json").read_text())
+    assert manifest["flags"]["samples"] == "1"
 
 
 def test_diagrams_list(tmp_path):

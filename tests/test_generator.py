@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from latticediff import generator
 from latticediff.generator import (GeneratorError, assemble_fiber,
@@ -11,9 +12,9 @@ from latticediff.generator import (GeneratorError, assemble_fiber,
                                    gain_kernel_crosscheck)
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                SpinSystem, validate_model)
-from latticediff.presets import reference_1d, reference_2d
+from latticediff.presets import flat_dispersion_1d, reference_1d, reference_2d
 from latticediff.reservoir import BathProfile
-from latticediff.spectral import perron_eigenvalue
+from latticediff.spectral import _sectors, perron_curve
 
 
 def _tabulated_model(beta=1.0):
@@ -167,6 +168,75 @@ def test_mode_blocks_match_dense_spectrum(make):
     _assert_mode_spectrum_matches_dense(cfg, table, block)
 
 
+def _assert_sectors_match_dense(cfg, table, p):
+    """The stacked sector spectra of M(p) are its dense spectrum, as multisets."""
+    block = assemble_fiber(cfg, table, p, 0.0)
+    free, stack = _sectors(block, cfg)
+    scale = float(np.abs(block.matrix).max())
+    stacked = np.linalg.eigvals(stack).ravel()
+    dense = np.linalg.eigvals(block.matrix)
+    dist = np.abs(stacked[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-11 * scale
+    if not np.any(p):
+        assert free == tuple(range(cfg.dim))
+        blocks = generator._grid_mode_blocks(table, cfg.grid.points_per_axis)
+        assert np.abs(stack - blocks).max() <= 1e-13 * scale
+    return free
+
+
+def _three_dimensional_model():
+    return ModelConfig(
+        dim=3, dispersion=DispersionSpec("nearest_neighbor"),
+        spin=SpinSystem(levels=(0.0, 1.0), couplings=((0, 1), (1, 0))),
+        beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=3),
+        grid=GridSpec(points_per_axis=4, sphere_nodes=16),
+    )
+
+
+def _flat_row_model():
+    # axis 1 has a flat dispersion row: it is free at every p
+    return ModelConfig(
+        dim=2, dispersion=DispersionSpec("cosine_series",
+                                         coefficients=((1.0, 0.3), (0.0,))),
+        spin=SpinSystem(levels=(0.0, 1.0), couplings=((0, 1), (1, 0))),
+        beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=2),
+        grid=GridSpec(points_per_axis=6, sphere_nodes=8),
+    )
+
+
+@pytest.mark.parametrize("make,p,free", [
+    (lambda: reference_2d(n_k=8), (0.0, 0.0), (0, 1)),
+    (lambda: reference_2d(n_k=8), (0.3, 0.0), (1,)),
+    (lambda: reference_2d(n_k=8), (0.2, -0.1), ()),
+    (_three_dimensional_model, (0.0, 0.0, 0.0), (0, 1, 2)),
+    (_three_dimensional_model, (0.0, 0.4, 0.0), (0, 2)),
+    (lambda: flat_dispersion_1d(n_k=16), (0.7,), (0,)),
+    (_flat_row_model, (0.2, 0.4), (1,)),
+], ids=["2d-zero", "2d-axis", "2d-oblique", "3d-zero", "3d-axis", "flat",
+        "flat-row"])
+def test_sectors_match_dense_spectrum(make, p, free):
+    cfg = make()
+    table = build_rate_table(cfg)
+    assert _assert_sectors_match_dense(cfg, table, np.asarray(p)) == free
+
+
+@pytest.mark.parametrize("make,p,constant", [
+    (reference_2d, (0.3, 0.0), (1,)),
+    (reference_2d, (0.0, -0.7), (0,)),
+    (_three_dimensional_model, (0.2, 0.0, 0.5), (1,)),
+    (_flat_row_model, (0.2, 0.4), (1,)),
+])
+def test_kinetic_difference_exactly_constant_on_free_axes(make, p, constant):
+    cfg = make()
+    n_axis = cfg.grid.points_per_axis
+    delta = generator._kinetic_difference(cfg, np.asarray(p)).reshape(
+        (n_axis,) * cfg.dim)
+    for axis in range(cfg.dim):
+        flat = np.broadcast_to(delta.take([0], axis=axis), delta.shape)
+        assert np.array_equal(delta, flat) == (axis in constant)
+
+
 def test_momentum_relabel_maps_fiber_to_opposite(ref1d, ref1d_table):
     p = np.array([0.3])
     n = ref1d.grid.points_per_axis
@@ -206,9 +276,7 @@ def test_top_eigenvalue_grid_refinement_second_order():
     for n_k in (32, 64, 128, 512):
         cfg = reference_1d(n_k=n_k)
         table = build_rate_table(cfg)
-        block = assemble_fiber(cfg, table, p, 0.0)
-        eig, _, _ = perron_eigenvalue(block.matrix)
-        tops[n_k] = eig.real
+        tops[n_k] = perron_curve(cfg, table, [np.zeros(1), p])[1].eigenvalue.real
     err = {n: abs(tops[n] - tops[512]) for n in (32, 64, 128)}
     assert err[64] < err[32]
     assert err[128] < err[64]
@@ -315,3 +383,4 @@ def test_generator_invariants_on_random_models(model):
     assert np.array_equal(moved[off], zero.matrix[off])
     if cfg.grid.points_per_axis <= 8:
         _assert_mode_spectrum_matches_dense(cfg, table, zero)
+        _assert_sectors_match_dense(cfg, table, np.concatenate([[0.0], p[1:]]))

@@ -11,8 +11,7 @@ from latticediff.spectral import (TrackingLossError, coherence_top,
                                   diffusion_tensor_continuum,
                                   diffusion_tensor_formula,
                                   diffusion_tensor_hessian, perron_curve,
-                                  perron_eigenvalue, spectral_gaps,
-                                  stationary_state)
+                                  spectral_gaps, stationary_state)
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +64,8 @@ def test_rank_one_projector_preserves_total_mass(ref1d, ref1d_block):
         assert ones @ projected == pytest.approx(ones @ rho, rel=1e-12)
 
 
-def test_top_eigenvalue_vanishes_at_zero_fiber(ref1d_block):
-    eig, right, left = perron_eigenvalue(ref1d_block.matrix)
+def test_top_eigenvalue_vanishes_at_zero_fiber(ref1d, ref1d_table, ref1d_block):
+    eig = perron_curve(ref1d, ref1d_table, [[0.0]])[0].eigenvalue
     assert abs(eig) <= 1e-10
     spectrum = np.sort(np.linalg.eigvals(ref1d_block.matrix).real)[::-1]
     assert spectrum[1] < -1e-3  # simple: next eigenvalue well separated
