@@ -11,7 +11,8 @@ exact sphere average gives the grid-free tensor (the `continuum` entry of
 `diffusion.json`), which kinetic Monte Carlo estimates.
 
 Gaps, spectra and the Hessian work per Fourier sector (`_sectors`) of
-each fiber's free axes; a 1-d fiber at p != 0 has none and stays whole.
+each fiber's free axes, in the grid's Fourier-mode basis, where a fiber at
+real p is real: every eigensolve runs in float64, free axis or none.
 """
 
 import math
@@ -66,38 +67,38 @@ def stationary_state(m00, ansatz=None, tol=1e-12, max_iter=8):
     )
 
 
-def _two_sided_rayleigh(matrix, sigma0, v0, w0=None, tol=1e-13, max_iter=60):
-    """Track one eigentriple (eig, right, left) near sigma0 from v0."""
-    m = np.asarray(matrix, dtype=complex)
+def _two_sided_rayleigh(matrix, sigma0, v0, w0, tol=1e-13, max_iter=60):
+    """Track a real eigentriple (eig, right, left) near sigma0 from v0, w0."""
+    m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     eye = np.eye(n)
     scale = float(np.abs(m).max()) or 1.0
-    v = np.asarray(v0, dtype=complex).copy()
+    v = np.asarray(v0, dtype=float).copy()
     v /= np.linalg.norm(v)
-    w = v.conj().copy() if w0 is None else np.asarray(w0, dtype=complex).copy()
+    w = np.asarray(w0, dtype=float).copy()
     w /= np.linalg.norm(w)
-    sigma = complex(sigma0)
+    sigma = float(sigma0)
     resid = math.inf
     for _ in range(max_iter):
         try:
             lu = lu_factor(m - sigma * eye)
             v_new = lu_solve(lu, v)
-            w_new = lu_solve(lu, w, trans=2)
+            w_new = lu_solve(lu, w, trans=1)
         except Exception:
             v_new = np.full(n, np.nan)
         if not np.all(np.isfinite(v_new)):
-            sigma += 1e-12 * scale * (1.0 + 1j)
+            sigma += 1e-12 * scale
             continue
         v = v_new / np.linalg.norm(v_new)
         w = w_new / np.linalg.norm(w_new)
-        denom = w.conj() @ v
+        denom = w @ v
         if abs(denom) < 1e-14:
             raise TrackingLossError("left/right eigenvectors became orthogonal")
-        sigma_new = (w.conj() @ (m @ v)) / denom
-        resid = float(np.linalg.norm(m @ v - sigma_new * v))
-        sigma = sigma_new
+        mv = m @ v
+        sigma = (w @ mv) / denom
+        resid = float(np.linalg.norm(mv - sigma * v))
         if resid <= tol * scale:
-            return complex(sigma), v, w
+            return float(sigma), v, w
     raise TrackingLossError(
         f"eigenvalue iteration did not converge (residual {resid:.2e})"
     )
@@ -122,9 +123,13 @@ def _sectors(block, cfg):
     An axis is free when the kinetic diagonal is exactly constant along it
     (p_i = 0, or a flat dispersion row); the gain is circulant, so M(p)
     is block-diagonal over the Fourier modes x_F of the free axes.  The
-    stack, shape (N^|F|, L N^(d-|F|), L N^(d-|F|)) in C order over x_F, is
-    the partial fftn over the target free axes of the source slice z_F = 0.
-    At p = 0 it is `_grid_mode_blocks`; with no free axis, the one block.
+    blocks are in the mode basis of every axis (fftn over the target axes,
+    ifftn over the source axes of the slice z_F = 0): the kernels are
+    inversion symmetric and Delta eps(p, k) is odd in k, so at real p they
+    hold A(x) on the diagonal and -i Delta eps as real couplings of x to
+    x +- m e_i; an imaginary part above roundoff is a structural fault.  The
+    float64 stack, shape (N^|F|, L N^(d-|F|), L N^(d-|F|)) in C order over
+    x_F, is `_grid_mode_blocks` at p = 0.
     """
     d, n_axis = cfg.dim, cfg.grid.points_per_axis
     grid = (n_axis,) * d
@@ -135,29 +140,45 @@ def _sectors(block, cfg):
     index = [slice(None)] * (2 * d + 2)
     for i in free:
         index[d + 2 + i] = 0
-    target = [1 + i for i in free]
-    sliced = np.fft.fftn(block.matrix.reshape((n_lvl,) + grid + (n_lvl,) + grid)
-                         [tuple(index)], axes=target)
+    modes = np.fft.ifftn(np.fft.fftn(
+        block.matrix.reshape((n_lvl,) + grid + (n_lvl,) + grid)[tuple(index)],
+        axes=range(1, d + 1)), axes=range(d + 2, 2 * d + 2 - len(free)))
     size = n_lvl * n_axis ** (d - len(free))
-    return free, np.moveaxis(sliced, target, range(len(free))).reshape(
-        -1, size, size)
+    stack = np.moveaxis(modes, [1 + i for i in free],
+                        range(len(free))).reshape(-1, size, size)
+    scale = float(np.abs(block.matrix).max())
+    if np.abs(stack.imag).max() > 64 * np.finfo(float).eps * scale:
+        raise NumericError("fiber is not real in the Fourier-mode basis: "
+                           "a deposition kernel is not inversion symmetric")
+    # contiguous, so the Rayleigh matvec runs in BLAS: its sums keep the
+    # 1-d Hessian to ~1e-14 of the formula, a strided view's to ~1e-9
+    return free, np.ascontiguousarray(stack.real)
 
 
-def _track_top(cfg, block, sigma, right, left=None):
+def _start_vectors(cfg, table):
+    """Right Gibbs x delta_{x=0}, left 1 x delta_{x=0}: the p = 0 kernel
+    pair in the level-major Fourier-mode basis."""
+    v = np.zeros((2, len(table.levels), cfg.grid.points_per_axis ** cfg.dim))
+    v[0, :, 0] = np.exp(-cfg.beta * np.asarray(table.levels))
+    v[1, :, 0] = 1.0
+    return v.reshape(2, -1)
+
+
+def _track_top(cfg, block, sigma, right, left):
     """Two-sided Rayleigh on the x_F = 0 sector; returns (eig, right, left,
-    sector stack).  The vectors live in full grid x level space: a sum over
-    the free axes projects them, broadcasting back over N^|F| lifts them."""
+    sector stack).  The vectors live in the Fourier-mode basis of grid x
+    levels: the x_F = 0 slice projects them, zero padding lifts them."""
     free, stack = _sectors(block, cfg)
     n_axis = cfg.grid.points_per_axis
     full = (block.size // n_axis ** cfg.dim,) + (n_axis,) * cfg.dim
-    axes = tuple(1 + i for i in free)
-    kept = [1 if j in axes else n for j, n in enumerate(full)]
+    kept = [1 if j - 1 in free else n for j, n in enumerate(full)]
 
     def project(v):
-        return None if v is None else np.reshape(v, full).sum(axis=axes).ravel()
+        return np.reshape(v, full)[tuple(map(slice, kept))].ravel()
 
     def lift(u):
-        return (np.broadcast_to(u.reshape(kept), full) / n_axis ** len(free)).ravel()
+        pad = [(0, n - k) for n, k in zip(full, kept)]
+        return np.pad(u.reshape(kept), pad).ravel()
 
     eig, v, w = _two_sided_rayleigh(stack[0], sigma, project(right),
                                     project(left))
@@ -173,11 +194,8 @@ def perron_curve(cfg, table, p_list):
     TrackingLossError when the followed eigenvalue jumps by more than the
     expected fiber derivative allows (branch collision).
     """
-    gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(table.levels)),
-                      cfg.grid.points_per_axis ** cfg.dim)
-    eig = 0.0 + 0.0j
-    right = gibbs / np.linalg.norm(gibbs)
-    left = np.ones_like(right) / math.sqrt(len(right))
+    eig = 0.0
+    right, left = _start_vectors(cfg, table)
     grad_scale = float(np.abs(dispersion_grad(
         cfg.dispersion, cfg.grid_points(), dim=cfg.dim)).max())
     points = []
@@ -284,7 +302,7 @@ def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
     )
 
 
-def _hessian_once(cfg, table, h, gibbs):
+def _hessian_once(cfg, table, h, start):
     d = cfg.dim
     f = {}
 
@@ -292,12 +310,12 @@ def _hessian_once(cfg, table, h, gibbs):
         key = tuple(np.round(np.asarray(vec) / h).astype(int))
         if key not in f:
             block = assemble_fiber(cfg, table, np.asarray(vec, float), 0.0)
-            f[key] = _track_top(cfg, block, 0.0, gibbs)[0]
+            f[key] = _track_top(cfg, block, 0.0, *start)[0]
         return f[key]
 
     center = at(np.zeros(d))
-    grad = np.zeros(d, dtype=complex)
-    hess = np.zeros((d, d), dtype=complex)
+    grad = np.zeros(d)
+    hess = np.zeros((d, d))
     for i in range(d):
         e_i = np.zeros(d)
         e_i[i] = h
@@ -321,7 +339,6 @@ def _hessian_once(cfg, table, h, gibbs):
 class HessianDiffusion:
     tensor: np.ndarray
     gradient_norm: float
-    imag_norm: float
     richardson_defect: float
 
 
@@ -335,14 +352,12 @@ def diffusion_tensor_hessian(cfg, table=None, h=1e-3):
     """
     if table is None:
         table = build_rate_table(cfg)
-    gibbs = np.repeat(np.exp(-cfg.beta * np.asarray(table.levels)),
-                      cfg.grid.points_per_axis ** cfg.dim).astype(complex)
-    grad_h, hess_h = _hessian_once(cfg, table, h, gibbs)
-    grad_2, hess_2 = _hessian_once(cfg, table, h / 2, gibbs)
+    start = _start_vectors(cfg, table)
+    grad_h, hess_h = _hessian_once(cfg, table, h, start)
+    grad_2, hess_2 = _hessian_once(cfg, table, h / 2, start)
     d_h = -hess_h
     d_2 = -hess_2
-    extrap = (4.0 * d_2 - d_h) / 3.0
-    tensor = extrap.real
+    tensor = (4.0 * d_2 - d_h) / 3.0
     scale = max(float(np.abs(tensor).max()), 1e-300)
     defect = float(np.abs(d_2 - d_h).max()) / scale
     if defect > 1e-4:
@@ -352,7 +367,6 @@ def diffusion_tensor_hessian(cfg, table=None, h=1e-3):
     return HessianDiffusion(
         tensor=0.5 * (tensor + tensor.T),
         gradient_norm=float(np.abs(np.concatenate([grad_h, grad_2])).max()),
-        imag_norm=float(np.abs(extrap.imag).max()),
         richardson_defect=defect,
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from latticediff.generator import (GeneratorError, assemble_fiber,
                                    build_rate_table, escape_rates,
                                    gain_kernel_crosscheck)
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
-                               SpinSystem, validate_model)
+                               NumericError, SpinSystem, validate_model)
 from latticediff.presets import flat_dispersion_1d, reference_1d, reference_2d
 from latticediff.reservoir import BathProfile
 from latticediff.spectral import _sectors, perron_curve
@@ -172,6 +173,7 @@ def _assert_sectors_match_dense(cfg, table, p):
     """The stacked sector spectra of M(p) are its dense spectrum, as multisets."""
     block = assemble_fiber(cfg, table, p, 0.0)
     free, stack = _sectors(block, cfg)
+    assert stack.dtype == np.float64
     scale = float(np.abs(block.matrix).max())
     stacked = np.linalg.eigvals(stack).ravel()
     dense = np.linalg.eigvals(block.matrix)
@@ -206,6 +208,8 @@ def _flat_row_model():
 
 
 @pytest.mark.parametrize("make,p,free", [
+    (lambda: reference_1d(n_k=16), (0.3,), ()),
+    (lambda: reference_1d(n_k=16), (math.pi,), ()),
     (lambda: reference_2d(n_k=8), (0.0, 0.0), (0, 1)),
     (lambda: reference_2d(n_k=8), (0.3, 0.0), (1,)),
     (lambda: reference_2d(n_k=8), (0.2, -0.1), ()),
@@ -213,12 +217,24 @@ def _flat_row_model():
     (_three_dimensional_model, (0.0, 0.4, 0.0), (0, 2)),
     (lambda: flat_dispersion_1d(n_k=16), (0.7,), (0,)),
     (_flat_row_model, (0.2, 0.4), (1,)),
-], ids=["2d-zero", "2d-axis", "2d-oblique", "3d-zero", "3d-axis", "flat",
-        "flat-row"])
+], ids=["1d-small", "1d-pi", "2d-zero", "2d-axis", "2d-oblique", "3d-zero",
+        "3d-axis", "flat", "flat-row"])
 def test_sectors_match_dense_spectrum(make, p, free):
     cfg = make()
     table = build_rate_table(cfg)
     assert _assert_sectors_match_dense(cfg, table, np.asarray(p)) == free
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_sectors_refuse_kernel_without_inversion_symmetry(p):
+    # one direction node: every kick goes the same way, so the deposition
+    # kernel is not inversion symmetric and the mode basis is not real
+    cfg = reference_1d(n_k=16)
+    table = dataclasses.replace(build_rate_table(cfg), nodes=(1.0,),
+                                weights=(2.0,))
+    block = assemble_fiber(cfg, table, np.array([p]), 0.0)
+    with pytest.raises(NumericError, match="inversion symmetric"):
+        _sectors(block, cfg)
 
 
 @pytest.mark.parametrize("make,p,constant", [
