@@ -8,8 +8,10 @@ space-time correlation
     psi(x, t) = int dw psi_hat(w) exp(i w t) int_{S^{d-1}} ds exp(i w s.x)
 
 is evaluated by a truncated panel Gauss-Legendre rule in w, with the
-sphere integral in closed form (`sphere.plane_wave_average`).  All
-refinement checks double the frequency panel count and compare.
+sphere integral in closed form (`sphere.plane_wave_average`).  Half-line
+time integrals of psi are exact in t at every frequency node, so the w
+rule is the only quadrature.  All refinement checks double the frequency
+panel count and compare.
 """
 
 import math
@@ -38,9 +40,10 @@ def _legendre_rule(order):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Resolution knobs for the frequency and time quadratures.
+    """Resolution knobs for the frequency quadrature and the half-line tail.
 
-    The sphere integral is in closed form, so only the panel rules have knobs.
+    The sphere integral and the time integrals are in closed form, so only
+    the frequency panel rule and the tail anchors have knobs.
     """
 
     rel_tol: float = 1e-8
@@ -277,38 +280,26 @@ def correlation_samples(profile, x, times, quad=DEFAULT_QUAD, check=False):
 def _cumulative_halfline(profile, x, a, quad, refine):
     """Partial integrals int_0^{T_j} psi(x, t) e^{i a t} dt at tail anchors.
 
-    Returns (anchors T_j, partial integral values, number of t and omega
-    nodes in the nested sum).  Anchors are spaced by
-    half an oscillation period of the combined integrand so the caller can
-    average the tail out; for |a| ~ 0 the spacing falls back to a fixed
-    stride and the tail is Richardson-extrapolated instead.
+    The time integral is exact at every frequency node (a Filon-type
+    rule): with u = omega + a, int_0^T e^{i u t} dt = T e^{i u T/2}
+    sinc(u T / 2 pi).  Only the omega rule is a quadrature; its panels are
+    sized for the phase rate T_max + |x|, as for psi(x, T_max) itself.
+    Returns (anchors T_j, partial integral values, number of omega
+    nodes).  Anchors are spaced by half an oscillation period of the
+    combined integrand so the caller can average the tail out; for |a| ~ 0
+    the spacing falls back to a fixed stride and the tail is
+    Richardson-extrapolated instead.
     """
-    a_eff = max(abs(a), 0.25)
-    stride = math.pi / a_eff
-    head = quad.tail_head
-    n_anchor = quad.tail_averages
-    anchors = head + stride * np.arange(n_anchor + 1)
-    radius = profile.omega_support()
-    rate = radius + abs(a)
-    edges = [np.linspace(0.0, head, max(4, int(math.ceil(head * rate / quad.phase_per_panel))) * refine + 1)]
-    for j in range(n_anchor):
-        n_sub = max(2, int(math.ceil(stride * rate / quad.phase_per_panel))) * refine
-        edges.append(np.linspace(anchors[j], anchors[j + 1], n_sub + 1)[1:])
-    edges = np.concatenate(edges)
-    gl_x, gl_w = _legendre_rule(quad.panel_order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    t_nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    t_weights = (half[:, None] * gl_w[None, :]).ravel()
+    stride = math.pi / max(abs(a), 0.25)
+    anchors = quad.tail_head + stride * np.arange(quad.tail_averages + 1)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    psi_vals, n_omega = _psi_batch_raw(
-        profile, np.tile(x_arr, (len(t_nodes), 1)), t_nodes, quad, refine)
-    contrib = t_weights * psi_vals * np.exp(1j * a * t_nodes)
-    per_panel = contrib.reshape(-1, quad.panel_order).sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(per_panel)])
-    # anchors coincide with panel edges by construction
-    idx = np.searchsorted(edges, anchors)
-    return anchors, cum[idx], len(t_nodes) + n_omega
+    r = float(np.linalg.norm(x_arr))
+    nodes, weights = _omega_nodes(profile, anchors[-1] + r, quad, refine)
+    coef = (weights * profile.psi_hat(nodes)
+            * plane_wave_average(len(x_arr), r * nodes))
+    phase = np.multiply.outer(anchors, nodes + a)
+    kernel = anchors[:, None] * np.exp(0.5j * phase) * np.sinc(phase / (2 * math.pi))
+    return anchors, kernel @ coef, len(nodes)
 
 
 def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
@@ -323,7 +314,8 @@ def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
     def run(refine):
         anchors, partials, n_nodes = _cumulative_halfline(profile, x, a, quad,
                                                           refine)
-        # the t weights add up to anchors[-1], which scales the error bound
+        # the time kernel is at most anchors[-1] in size, which scales the
+        # roundoff of the n_nodes-term sum
         n_terms = anchors[-1] * n_nodes
         if abs(a) >= 0.25:
             acc = partials
@@ -511,19 +503,18 @@ def lamb_shift(profile, spin, quad=DEFAULT_QUAD):
     Im int_0^inf psi(0, t) e^{i a t} dt is combined with the squared
     coupling amplitudes into per-level shifts; the channel value is the
     difference of the two level shifts.  The zero channel vanishes
-    identically and only ever enters commutators.
+    identically and only ever enters commutators.  Only the Bohr
+    frequencies some nonzero coupling uses are integrated.
     """
     levels = np.asarray(spin.levels)
-    w = spin.w
-    needed = sorted({float(e - f) for e in levels for f in levels})
+    amp = np.abs(spin.w) ** 2
+    pairs = list(zip(*np.nonzero(amp)))
+    needed = sorted({float(levels[ei] - levels[fi]) for fi, ei in pairs})
     origin = np.zeros(profile.dim)
     im_integral = {a: half_line_fourier(profile, origin, a, quad).imag for a in needed}
     per_level = np.zeros(len(levels))
-    for fi in range(len(levels)):
-        for ei in range(len(levels)):
-            amp = abs(w[fi, ei]) ** 2
-            if amp > 0:
-                per_level[fi] += amp * im_integral[float(levels[ei] - levels[fi])]
+    for fi, ei in pairs:
+        per_level[fi] += amp[fi, ei] * im_integral[float(levels[ei] - levels[fi])]
     shifts = {0.0: 0.0}
     for ei in range(len(levels)):
         for fi in range(len(levels)):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from latticediff import reservoir
 from latticediff.model import SpinSystem
 from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadratureError,
                                    QuadSpec, check_subluminal_decay,
@@ -11,7 +14,7 @@ from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadratureError,
                                    gain_coefficient_position,
                                    gain_coefficient_sphere, half_line_fourier,
                                    lamb_shift, psi_xt, psi_xt_batch,
-                                   _omega_nodes)
+                                   _cumulative_halfline, _omega_nodes)
 from latticediff.sphere import plane_wave_average, polar_rule, surface_area
 
 
@@ -265,3 +268,80 @@ def test_batch_matches_single(bath4):
     batch = psi_xt_batch(bath4, xs, ts)
     for i in range(3):
         assert batch[i] == pytest.approx(psi_xt(bath4, xs[i], ts[i]), rel=1e-10)
+
+
+def _time_quadrature_partials(profile, x, a, anchors, quad=DEFAULT_QUAD):
+    """Partial integrals int_0^{T_j} psi(x, t) e^{iat} dt by a Gauss-Legendre
+    rule in t, with panels sized for the phase rate R + |a| and an edge at
+    every anchor T_j; psi(x, t) comes from the omega rule at each t node."""
+    rate = profile.omega_support() + abs(a)
+    edges = [np.linspace(0.0, anchors[0], max(
+        4, math.ceil(anchors[0] * rate / quad.phase_per_panel)) + 1)]
+    for lo, hi in zip(anchors[:-1], anchors[1:]):
+        n_sub = max(2, math.ceil((hi - lo) * rate / quad.phase_per_panel))
+        edges.append(np.linspace(lo, hi, n_sub + 1)[1:])
+    edges = np.concatenate(edges)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(quad.panel_order)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * gl_x).ravel()
+    psi = psi_xt_batch(profile, np.tile(x, (len(t), 1)), t, quad, check=False)
+    terms = (half * gl_w).ravel() * psi * np.exp(1j * a * t)
+    cum = np.concatenate([[0.0], np.cumsum(terms.reshape(len(half), -1).sum(axis=1))])
+    return cum[np.searchsorted(edges, anchors)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_halfline_partials_match_time_quadrature(d):
+    # the closed-form time integral per omega node against the same
+    # partials by quadrature in t; x = (2, -1) is cut to the first d axes
+    prof = BathProfile("builtin_gaussian", beta=1.0, dim=d, cutoff=2.0)
+    for a in (0.0, 0.1, -1.0, 2.5):
+        for x in (np.zeros(d), np.array([2.0, -1.0, 0.0, 0.0])[:d]):
+            anchors, partials, _ = _cumulative_halfline(prof, x, a, DEFAULT_QUAD, 1)
+            oracle = _time_quadrature_partials(prof, x, a, anchors)
+            err = np.max(np.abs(partials - oracle))
+            assert err <= 1e-12 * np.max(np.abs(partials)), (a, x)
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(panel_order=4),
+                                  QuadSpec(phase_per_panel=64.0)])
+def test_halfline_refinement_check_rejects_coarse_rule(bath2, spec):
+    for a, x in ((0.7, (1.0, 0.0)), (-1.5, (2.0, -1.0))):
+        with pytest.raises(QuadratureError):
+            half_line_fourier(bath2, x, a, spec)
+
+
+def test_lamb_shift_integrates_only_coupled_frequencies(monkeypatch):
+    # the two-level spin couples 0 <-> 1 only: a = 0 is never integrated
+    prof = BathProfile("builtin_gaussian", beta=1.0, dim=1, cutoff=2.0)
+    seen = []
+
+    def spy(profile, x, a, quad=DEFAULT_QUAD):
+        seen.append(a)
+        return half_line_fourier(profile, x, a, quad)
+
+    monkeypatch.setattr(reservoir, "half_line_fourier", spy)
+    shifts = lamb_shift(prof, SpinSystem((0, 1), ((0, 1), (1, 0))))
+    assert sorted(seen) == [-1.0, 1.0]
+    im = {a: half_line_fourier(prof, np.zeros(1), a).imag for a in (-1.0, 1.0)}
+    assert shifts == {0.0: 0.0, 1.0: im[-1.0] - im[1.0],
+                      -1.0: im[1.0] - im[-1.0]}
+
+
+@st.composite
+def _gain_points(draw):
+    d = draw(st.integers(1, 3))
+    a = draw(st.floats(0.3, 3.0))
+    x = draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d))
+    return d, a, np.array(x)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_gain_points())
+def test_gain_coefficient_time_route_matches_sphere_form(point):
+    # absolute scale: the closed form passes through zeros in x
+    d, a, x = point
+    prof = BathProfile("builtin_gaussian", beta=1.0, dim=d, cutoff=2.0)
+    scale = 2 * math.pi * prof.psi_hat(a) * surface_area(d)
+    closed = gain_coefficient_sphere(prof, a, x)
+    assert abs(gain_coefficient_position(prof, a, x) - closed) <= 1e-6 * scale
