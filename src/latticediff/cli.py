@@ -110,13 +110,8 @@ def _kernel_from_expression(expr):
     return k
 
 
-def _load_config(args):
-    cfg = model_from_json(args.config)
-    return cfg
-
-
 def cmd_validate(args):
-    cfg = _load_config(args)
+    cfg = model_from_json(args.config)
     report = validate_model(cfg)
     manifest = _manifest(cfg.config_hash(), "validate",
                          {"config": args.config}, cfg.rng_seed,
@@ -138,7 +133,7 @@ def cmd_psi(args):
         raise ValueError(f"--tmax must be finite and positive, got {args.tmax}")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    cfg = _load_config(args)
+    cfg = model_from_json(args.config)
     x = _parse_vector(args.x, cfg.dim)
     times = np.linspace(0.0, args.tmax, args.points)
     samples = correlation_samples(cfg.bath, x, times)
@@ -156,7 +151,7 @@ def cmd_psi(args):
 
 
 def cmd_rates(args):
-    cfg = _load_config(args)
+    cfg = model_from_json(args.config)
     ensure_valid(cfg)
     p = None
     if args.dump_matrix:
@@ -202,7 +197,7 @@ def cmd_spectrum(args):
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if not math.isfinite(args.pmax):
         raise ValueError(f"--pmax must be finite, got {args.pmax}")
-    cfg = _load_config(args)
+    cfg = model_from_json(args.config)
     ensure_valid(cfg)
     table = build_rate_table(cfg)
     scales = np.linspace(0.0, args.pmax, args.steps)
@@ -224,7 +219,7 @@ def cmd_diffusion(args):
     if args.kmc_traj:
         # 0 asks for the default horizon, 200 / g_low, known only after the gaps
         check_ensemble_args(args.kmc_traj, args.kmc_tfinal or 1.0)
-    cfg = _load_config(args)
+    cfg = model_from_json(args.config)
     ensure_valid(cfg)
     table = build_rate_table(cfg)
     hess = diffusion_tensor_hessian(cfg, table)
@@ -257,7 +252,7 @@ def cmd_diffusion(args):
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args)
+    cfg = model_from_json(args.config)
     ensure_valid(cfg)
     table = build_rate_table(cfg)
     probes = []

@@ -10,8 +10,10 @@ emitting) kernels and defining the reverse kernel as the scaled transpose.
 
 Translation invariance also makes the gain independent of the fiber momentum
 p: it is built once per (rate table, grid) and every fiber shares it
-read-only, adding only its loss and p-dependent kinetic diagonals.  At
-p = 0 it splits the fiber into one small level block per Fourier mode.
+read-only, adding only its loss and p-dependent kinetic diagonals.  In
+the grid's Fourier-mode basis the p = 0 fiber is one small real level block
+A(x) per mode, also built once; every fiber's spectral sectors are those
+blocks plus its kinetic term as a convolution over the modes (`_sectors`).
 """
 
 import functools
@@ -193,30 +195,73 @@ def _mode_blocks(table, kernel_hat):
 
     The gain is circulant and the loss does not depend on k, so M(0) splits
     exactly over the modes x of the momentum grid.  `kernel_hat(radius)`
-    returns a downward channel's kernel transform over the modes; the
-    reverse channel takes its conjugate, as `_population_gain` takes the
-    transpose, and the escape rates sit on the diagonal.  Returns an array
-    of shape (modes, L, L).
+    returns a downward channel's real kernel transform over the modes (the
+    kernels are inversion symmetric); the reverse channel, the transposed
+    block in `_population_gain`, takes the same transform, and the escape
+    rates sit on the diagonal.  Returns a float array of shape (modes, L, L).
     """
     rates = escape_rates(table)
     amplitude = {(c.source, c.target): c.amplitude for c in table.channels}
     down = [c for c in table.channels if c.bohr > 0]
     k_hats = [np.asarray(kernel_hat(c.radius)) for c in down]
     n_lvl = len(rates)
-    blocks = np.zeros((k_hats[0].size, n_lvl, n_lvl), dtype=complex)
+    blocks = np.zeros((k_hats[0].size, n_lvl, n_lvl))
     for c, k_hat in zip(down, k_hats):
         blocks[:, c.target, c.source] = c.amplitude * k_hat
-        blocks[:, c.source, c.target] = (amplitude[(c.target, c.source)]
-                                         * np.conj(k_hat))
+        blocks[:, c.source, c.target] = amplitude[(c.target, c.source)] * k_hat
     blocks[:, np.arange(n_lvl), np.arange(n_lvl)] = -rates
     return blocks
 
 
+@functools.lru_cache(maxsize=4)
 def _grid_mode_blocks(table, n_axis):
-    """`_mode_blocks` on the N^d grid: kernel transforms by FFT, C order."""
-    return _mode_blocks(table, lambda radius: np.fft.fftn(_deposit_kernel(
-        radius, table.node_array, table.weight_array, n_axis,
-        table.dim)).ravel())
+    """`_mode_blocks` on the N^d grid, C order over the modes: kernel
+    transforms by FFT, shared read-only like `_population_gain`."""
+    def kernel_hat(radius):
+        k_hat = np.fft.fftn(_deposit_kernel(
+            radius, table.node_array, table.weight_array, n_axis,
+            table.dim)).ravel()
+        if np.abs(k_hat.imag).max() > 64 * np.finfo(float).eps * k_hat[0].real:
+            raise NumericError("fiber is not real in the Fourier-mode basis: "
+                               "a deposition kernel is not inversion symmetric")
+        return k_hat.real
+
+    blocks = _mode_blocks(table, kernel_hat)
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _sectors(cfg, table, kinetic):
+    """Free axes F of a population fiber and its sector blocks B(x_F).
+
+    An axis is free when the kinetic diagonal is exactly constant along it
+    (p_i = 0, or a flat dispersion row); the gain is circulant, so M(p) is
+    block-diagonal over the Fourier modes x_F of the free axes.  A block,
+    in the mode basis of the other axes, holds A(x) on its diagonal and
+    -i Delta eps as a convolution over those modes, with the kernel
+    fftn(Delta eps) / N^(d-|F|): Delta eps(p, k) is odd in k, so at real p
+    the kernel is imaginary and the block real.  Returns F and the float64
+    stack (N^|F|, L N^(d-|F|), L N^(d-|F|)), C order over x_F, level-major.
+    """
+    d, n_axis = cfg.dim, cfg.grid.points_per_axis
+    n_lvl = len(table.levels)
+    grid = (n_axis,) * d
+    kinetic = np.reshape(kinetic[:n_axis ** d], grid)
+    free = tuple(i for i in range(d)
+                 if np.all(kinetic == kinetic.take([0], axis=i)))
+    n_rest = n_axis ** (d - len(free))
+    blocks = np.moveaxis(
+        _grid_mode_blocks(table, n_axis).reshape(grid + (n_lvl, n_lvl)),
+        free, range(len(free))).reshape(-1, n_rest, n_lvl, n_lvl)
+    stack = np.zeros((len(blocks), n_lvl, n_rest, n_lvl, n_rest))
+    x = np.arange(n_rest)
+    stack[:, :, x, :, x] = np.moveaxis(blocks, 1, 0)
+    source = kinetic[tuple(slice(1) if i in free else slice(None)
+                           for i in range(d))]
+    lvl = np.arange(n_lvl)
+    stack[:, lvl, :, lvl, :] += _circulant_from_kernel(
+        np.fft.fftn(source).imag / n_rest)
+    return free, stack.reshape(len(blocks), n_lvl * n_rest, n_lvl * n_rest)
 
 
 @dataclass(frozen=True)
@@ -246,7 +291,7 @@ class FiberBlock:
 def _kinetic_difference(cfg, p):
     """eps(k + p/2) - eps(k - p/2), summed per axis and harmonic as
     c_im [cos(m(k_i - p_i/2)) - cos(m(k_i + p_i/2))]: an axis with p_i = 0
-    adds exact zeros, so the fiber splits over it (spectral._sectors)."""
+    adds exact zeros, so the fiber splits over it (`_sectors`)."""
     coeffs = cfg.dispersion.per_axis(cfg.dim)
     harmonics = np.arange(1, coeffs.shape[1] + 1)
     kpts = cfg.grid_points()

@@ -23,6 +23,7 @@ from .generator import build_rate_table
 
 
 BLOCK_SIZE = 32768
+K_BINS = 32          # bins of each per-axis momentum histogram
 
 
 def _wrap(k):
@@ -145,7 +146,7 @@ def _philox(seed, stream):
         [seed % (1 << 64), stream], dtype=np.uint64)))
 
 
-def _simulate_block(proc, n, t_final, seed, block_index, probes, k_bins):
+def _simulate_block(proc, n, t_final, seed, block_index, probes):
     """Run one block of walkers to t_final in lockstep rounds.
 
     Every walker processes its r-th event in round r.  The block's Philox
@@ -169,7 +170,7 @@ def _simulate_block(proc, n, t_final, seed, block_index, probes, k_bins):
         sum_x2ii=(x ** 2).sum(axis=0),
         level_counts=np.bincount(e, minlength=n_lvl).astype(float),
         k_counts=np.stack([
-            np.histogram(k[:, ax], bins=k_bins, range=(-math.pi, math.pi))[0]
+            np.histogram(k[:, ax], bins=K_BINS, range=(-math.pi, math.pi))[0]
             for ax in range(d)
         ]).astype(float),
         cgf_sum=np.zeros(len(probes), dtype=complex),
@@ -267,7 +268,7 @@ def check_ensemble_args(n_traj, t_final):
 
 
 def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
-                 k_bins=32, g_low=None, block_size=BLOCK_SIZE):
+                 g_low=None, block_size=BLOCK_SIZE):
     """Simulate independent walkers and return diffusion/equipartition stats.
 
     Walkers start at x = 0 with uniform momentum and Gibbs-distributed
@@ -288,8 +289,7 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
 
     def job(args):
         b, size = args
-        return _simulate_block(proc, size, t_final, cfg.rng_seed, b,
-                               probes, k_bins)
+        return _simulate_block(proc, size, t_final, cfg.rng_seed, b, probes)
 
     jobs = list(enumerate(sizes))
     if threads > 1:

@@ -267,12 +267,12 @@ class CorrelationSample:
     value: complex
 
 
-def correlation_samples(profile, x, times, quad=DEFAULT_QUAD, check=False):
+def correlation_samples(profile, x, times, quad=DEFAULT_QUAD):
     """psi(x, t) along a time grid at fixed x, as CorrelationSample rows."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     times = np.asarray(times, dtype=float)
     values = psi_xt_batch(profile, np.tile(x_arr, (len(times), 1)), times,
-                          quad, check=check)
+                          quad, check=False)
     return [CorrelationSample(x=tuple(x_arr), t=float(t), value=complex(v))
             for t, v in zip(times, values)]
 

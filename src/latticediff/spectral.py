@@ -10,19 +10,23 @@ p = 0 fiber is one small level block.  The same per-mode formula with the
 exact sphere average gives the grid-free tensor (the `continuum` entry of
 `diffusion.json`), which kinetic Monte Carlo estimates.
 
-Gaps, spectra and the Hessian work per Fourier sector (`_sectors`) of
-each fiber's free axes, in the grid's Fourier-mode basis, where a fiber at
-real p is real: every eigensolve runs in float64, free axis or none.
+Gaps, spectra and the Hessian work per Fourier sector of each fiber's
+free axes, in the grid's Fourier-mode basis, where a fiber at real p is
+real: every eigensolve runs in float64, free axis or none.  The sectors
+come from `generator._sectors`, which needs only the fiber's kinetic
+diagonal besides the shared mode blocks.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .generator import (_grid_mode_blocks, _level_pair, _mode_blocks,
-                        assemble_fiber, build_rate_table, escape_rates)
+                        _sectors, assemble_fiber, build_rate_table,
+                        escape_rates)
 from .model import NumericError, dispersion_grad
 from .sphere import plane_wave_average
 
@@ -80,12 +84,15 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0, tol=1e-13, max_iter=60):
     sigma = float(sigma0)
     resid = math.inf
     for _ in range(max_iter):
-        try:
-            lu = lu_factor(m - sigma * eye)
-            v_new = lu_solve(lu, v)
-            w_new = lu_solve(lu, w, trans=1)
-        except Exception:
-            v_new = np.full(n, np.nan)
+        with warnings.catch_warnings():
+            # an exactly singular shift (A(0) at sigma = 0) is nudged below
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                lu = lu_factor(m - sigma * eye)
+                v_new = lu_solve(lu, v)
+                w_new = lu_solve(lu, w, trans=1)
+            except (LinAlgWarning, ValueError):
+                v_new = np.full(n, np.nan)
         if not np.all(np.isfinite(v_new)):
             sigma += 1e-12 * scale
             continue
@@ -117,44 +124,6 @@ def _bulk_top(eigvals, tracked):
     return float(rest.real.max()) if len(rest) else -math.inf
 
 
-def _sectors(block, cfg):
-    """Free axes F of a population fiber and its sector blocks B(x_F).
-
-    An axis is free when the kinetic diagonal is exactly constant along it
-    (p_i = 0, or a flat dispersion row); the gain is circulant, so M(p)
-    is block-diagonal over the Fourier modes x_F of the free axes.  The
-    blocks are in the mode basis of every axis (fftn over the target axes,
-    ifftn over the source axes of the slice z_F = 0): the kernels are
-    inversion symmetric and Delta eps(p, k) is odd in k, so at real p they
-    hold A(x) on the diagonal and -i Delta eps as real couplings of x to
-    x +- m e_i; an imaginary part above roundoff is a structural fault.  The
-    float64 stack, shape (N^|F|, L N^(d-|F|), L N^(d-|F|)) in C order over
-    x_F, is `_grid_mode_blocks` at p = 0.
-    """
-    d, n_axis = cfg.dim, cfg.grid.points_per_axis
-    grid = (n_axis,) * d
-    kinetic = block.kinetic[:n_axis ** d].reshape(grid)
-    free = tuple(i for i in range(d)
-                 if np.all(kinetic == kinetic.take([0], axis=i)))
-    n_lvl = block.size // n_axis ** d
-    index = [slice(None)] * (2 * d + 2)
-    for i in free:
-        index[d + 2 + i] = 0
-    modes = np.fft.ifftn(np.fft.fftn(
-        block.matrix.reshape((n_lvl,) + grid + (n_lvl,) + grid)[tuple(index)],
-        axes=range(1, d + 1)), axes=range(d + 2, 2 * d + 2 - len(free)))
-    size = n_lvl * n_axis ** (d - len(free))
-    stack = np.moveaxis(modes, [1 + i for i in free],
-                        range(len(free))).reshape(-1, size, size)
-    scale = float(np.abs(block.matrix).max())
-    if np.abs(stack.imag).max() > 64 * np.finfo(float).eps * scale:
-        raise NumericError("fiber is not real in the Fourier-mode basis: "
-                           "a deposition kernel is not inversion symmetric")
-    # contiguous, so the Rayleigh matvec runs in BLAS: its sums keep the
-    # 1-d Hessian to ~1e-14 of the formula, a strided view's to ~1e-9
-    return free, np.ascontiguousarray(stack.real)
-
-
 def _start_vectors(cfg, table):
     """Right Gibbs x delta_{x=0}, left 1 x delta_{x=0}: the p = 0 kernel
     pair in the level-major Fourier-mode basis."""
@@ -164,13 +133,12 @@ def _start_vectors(cfg, table):
     return v.reshape(2, -1)
 
 
-def _track_top(cfg, block, sigma, right, left):
-    """Two-sided Rayleigh on the x_F = 0 sector; returns (eig, right, left,
-    sector stack).  The vectors live in the Fourier-mode basis of grid x
-    levels: the x_F = 0 slice projects them, zero padding lifts them."""
-    free, stack = _sectors(block, cfg)
-    n_axis = cfg.grid.points_per_axis
-    full = (block.size // n_axis ** cfg.dim,) + (n_axis,) * cfg.dim
+def _track_top(cfg, table, kinetic, sigma, right, left):
+    """Two-sided Rayleigh on the x_F = 0 sector of a fiber's `_sectors`;
+    returns (eig, right, left, stack).  The vectors live in the mode basis
+    of grid x levels: the x_F = 0 slice projects, zero padding lifts."""
+    free, stack = _sectors(cfg, table, kinetic)
+    full = (len(table.levels),) + (cfg.grid.points_per_axis,) * cfg.dim
     kept = [1 if j - 1 in free else n for j, n in enumerate(full)]
 
     def project(v):
@@ -202,8 +170,9 @@ def perron_curve(cfg, table, p_list):
     prev_p = np.zeros(cfg.dim)
     for p in p_list:
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        block = assemble_fiber(cfg, table, p, 0.0)
-        eig_new, right, left, stack = _track_top(cfg, block, eig, right, left)
+        kinetic = assemble_fiber(cfg, table, p, 0.0).kinetic
+        eig_new, right, left, stack = _track_top(cfg, table, kinetic, eig,
+                                                 right, left)
         step = float(np.linalg.norm(p - prev_p))
         allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
@@ -233,8 +202,6 @@ class GapReport:
     p_star: float
     gap_at_zero: float
     coherence_tops: dict
-    small_points: tuple
-    large_points: tuple
 
     def to_dict(self):
         return {
@@ -256,16 +223,11 @@ def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
     """
     if table is None:
         table = build_rate_table(cfg)
-
-    def ray(scale):
-        p = np.zeros(cfg.dim)
-        p[0] = scale
-        return p
-
+    axis = np.eye(cfg.dim)[0]
     if p_small is None:
-        p_small = [ray(s) for s in (0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)]
+        p_small = [s * axis for s in (0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)]
     if p_large is None:
-        p_large = [ray(s) for s in (math.pi / 2, 3 * math.pi / 4, math.pi)]
+        p_large = [s * axis for s in (math.pi / 2, 3 * math.pi / 4, math.pi)]
 
     coherence = {a: coherence_top(table, a)
                  for a in np.unique([c.bohr for c in table.channels])}
@@ -286,19 +248,16 @@ def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
             p_star = max(p_star, radius)
     gap_at_zero = points[0].gap
 
-    large_points = []
     g_high = math.inf
     for p in p_large:
-        _, stack = _sectors(assemble_fiber(cfg, table, p, 0.0), cfg)
+        _, stack = _sectors(cfg, table,
+                            assemble_fiber(cfg, table, p, 0.0).kinetic)
         top = float(np.linalg.eigvals(stack).real.max())
-        top = max(top, coh_max)
-        large_points.append((tuple(p), top))
-        g_high = min(g_high, -top)
+        g_high = min(g_high, -max(top, coh_max))
 
     return GapReport(
         g_low=float(g_low), g_high=float(g_high), p_star=float(p_star),
         gap_at_zero=float(gap_at_zero), coherence_tops=coherence,
-        small_points=tuple(elevations), large_points=tuple(large_points),
     )
 
 
@@ -309,8 +268,9 @@ def _hessian_once(cfg, table, h, start):
     def at(vec):
         key = tuple(np.round(np.asarray(vec) / h).astype(int))
         if key not in f:
-            block = assemble_fiber(cfg, table, np.asarray(vec, float), 0.0)
-            f[key] = _track_top(cfg, block, 0.0, *start)[0]
+            kinetic = assemble_fiber(cfg, table, np.asarray(vec, float),
+                                     0.0).kinetic
+            f[key] = _track_top(cfg, table, kinetic, 0.0, *start)[0]
         return f[key]
 
     center = at(np.zeros(d))

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from latticediff import generator
-from latticediff.generator import (GeneratorError, assemble_fiber,
+from latticediff.generator import (GeneratorError, _sectors, assemble_fiber,
                                    build_rate_table, escape_rates,
                                    gain_kernel_crosscheck)
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                NumericError, SpinSystem, validate_model)
 from latticediff.presets import flat_dispersion_1d, reference_1d, reference_2d
 from latticediff.reservoir import BathProfile
-from latticediff.spectral import _sectors, perron_curve
+from latticediff.spectral import diffusion_tensor_formula, perron_curve
 
 
 def _tabulated_model(beta=1.0):
@@ -169,12 +169,32 @@ def test_mode_blocks_match_dense_spectrum(make):
     _assert_mode_spectrum_matches_dense(cfg, table, block)
 
 
+def _transformed_sectors(block, cfg, free):
+    """The sector stack by transforming the dense k-basis fiber: fftn over
+    the target axes, ifftn over the source axes of the slice z_F = 0."""
+    d, n_axis = cfg.dim, cfg.grid.points_per_axis
+    grid = (n_axis,) * d
+    n_lvl = block.size // n_axis ** d
+    index = [slice(None)] * (2 * d + 2)
+    for i in free:
+        index[d + 2 + i] = 0
+    modes = np.fft.ifftn(np.fft.fftn(
+        block.matrix.reshape((n_lvl,) + grid + (n_lvl,) + grid)[tuple(index)],
+        axes=range(1, d + 1)), axes=range(d + 2, 2 * d + 2 - len(free)))
+    size = n_lvl * n_axis ** (d - len(free))
+    return np.moveaxis(modes, [1 + i for i in free],
+                       range(len(free))).reshape(-1, size, size)
+
+
 def _assert_sectors_match_dense(cfg, table, p):
-    """The stacked sector spectra of M(p) are its dense spectrum, as multisets."""
+    """The sector stack of M(p) is the transformed dense fiber, and its
+    stacked spectra are the dense spectrum, as multisets."""
     block = assemble_fiber(cfg, table, p, 0.0)
-    free, stack = _sectors(block, cfg)
+    free, stack = _sectors(cfg, table, block.kinetic)
     assert stack.dtype == np.float64
     scale = float(np.abs(block.matrix).max())
+    assert np.abs(stack - _transformed_sectors(block, cfg, free)).max() \
+        <= 1e-14 * scale
     stacked = np.linalg.eigvals(stack).ravel()
     dense = np.linalg.eigvals(block.matrix)
     dist = np.abs(stacked[:, None] - dense[None, :])
@@ -234,7 +254,38 @@ def test_sectors_refuse_kernel_without_inversion_symmetry(p):
                                 weights=(2.0,))
     block = assemble_fiber(cfg, table, np.array([p]), 0.0)
     with pytest.raises(NumericError, match="inversion symmetric"):
-        _sectors(block, cfg)
+        _sectors(cfg, table, block.kinetic)
+
+
+def test_mode_blocks_deposited_once_and_shared_read_only(monkeypatch):
+    cfg = reference_2d(n_k=8)
+    table = build_rate_table(cfg)
+    n_axis = cfg.grid.points_per_axis
+    generator._population_gain.cache_clear()
+    generator._grid_mode_blocks.cache_clear()
+    generator._population_gain(table, n_axis)
+    radii, builds = [], []
+    deposit, mode_blocks = generator._deposit_kernel, generator._mode_blocks
+
+    def spy_deposit(radius, *args):
+        radii.append(radius)
+        return deposit(radius, *args)
+
+    def spy_mode_blocks(*args):
+        builds.append(args)
+        return mode_blocks(*args)
+
+    monkeypatch.setattr(generator, "_deposit_kernel", spy_deposit)
+    monkeypatch.setattr(generator, "_mode_blocks", spy_mode_blocks)
+    perron_curve(cfg, table, [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])
+    diffusion_tensor_formula(cfg, table)
+    assert radii == [c.radius for c in table.channels if c.bohr > 0]
+    assert len(builds) == 1
+    blocks = generator._grid_mode_blocks(table, n_axis)
+    assert blocks is generator._grid_mode_blocks(table, n_axis)
+    assert not blocks.flags.writeable
+    with pytest.raises(ValueError):
+        blocks[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("make,p,constant", [

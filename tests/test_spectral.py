@@ -150,6 +150,17 @@ def test_hessian_matches_formula_to_roundoff_1d(ref1d, ref1d_table, hessian1d):
     assert rel <= 1e-12
 
 
+def test_hessian_matches_formula_to_roundoff_2d():
+    # the sector blocks are built in the mode basis, with exact zeros where
+    # a transformed dense fiber leaves roundoff for 1/h^2 to amplify
+    cfg = reference_2d()
+    table = build_rate_table(cfg)
+    hess = diffusion_tensor_hessian(cfg, table).tensor
+    formula = diffusion_tensor_formula(cfg, table)
+    rel = np.max(np.abs(hess - formula)) / np.abs(formula).max()
+    assert rel <= 1e-11
+
+
 def test_dual_method_agreement_two_dimensions(ref2d):
     table = build_rate_table(ref2d)
     hess = diffusion_tensor_hessian(ref2d, table).tensor
