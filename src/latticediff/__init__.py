@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 from .model import (DispersionSpec, GridSpec, ModelConfig, SpinSystem,
                     ValidationError, dispersion_eval, dispersion_grad,
                     model_from_json, validate_model)
-from .reservoir import (BathProfile, CorrelationSample, QuadSpec,
+from .reservoir import (BathProfile, CorrelationSample,
                         check_subluminal_decay, check_time_integrability,
                         correlation_samples, gain_coefficient_position,
-                        gain_coefficient_sphere, lamb_shift, psi_hat, psi_xt)
+                        gain_coefficient_sphere, lamb_shift, psi_xt)
 from .generator import (JumpRateTable, assemble_fiber, build_rate_table,
                         escape_rates, gain_kernel_crosscheck)
 from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
@@ -32,7 +32,7 @@ from .diagrams import (Diagram, DiagramClass, check_lemma_bounds, classify,
 __all__ = [
     "BathProfile", "CorrelationSample", "Diagram", "DiagramClass",
     "DispersionSpec", "EnsembleStats", "GridSpec", "JumpRateTable",
-    "ModelConfig", "QuadSpec", "SpinSystem",
+    "ModelConfig", "SpinSystem",
     "ValidationError", "assemble_fiber", "build_rate_table",
     "check_lemma_bounds", "check_subluminal_decay",
     "check_time_integrability", "classify", "correlation_samples",
@@ -41,6 +41,6 @@ __all__ = [
     "enumerate_pairings",
     "escape_rates", "gain_coefficient_position", "gain_coefficient_sphere",
     "gain_kernel_crosscheck", "integrate_unconstrained", "lamb_shift",
-    "mir_shape", "model_from_json", "perron_curve", "psi_hat", "psi_xt",
+    "mir_shape", "model_from_json", "perron_curve", "psi_xt",
     "run_ensemble", "spectral_gaps", "stationary_state", "validate_model",
 ]

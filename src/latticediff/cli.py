@@ -105,7 +105,12 @@ def _kernel_from_expression(expr):
             raise ValueError(f"kernel expression uses unknown name {name!r}")
 
     def k(t):
-        return eval(code, {"__builtins__": {}}, {**allowed, "t": t})
+        try:
+            return eval(code, {"__builtins__": {}}, {**allowed, "t": t})
+        except (ZeroDivisionError, TypeError) as exc:
+            # a DiagramError, because the kernel norms map ValueError to inf
+            raise DiagramError(f"kernel expression {expr!r} fails at "
+                               f"t = {t}: {exc}") from exc
 
     return k
 
@@ -316,8 +321,8 @@ def build_parser():
                     "assembly, spectra, diffusion, simulation, diagram bounds.",
     )
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("LATTICEDIFF_THREADS",
-                                                   os.cpu_count() or 1)),
+                        default=os.environ.get("LATTICEDIFF_THREADS",
+                                               str(os.cpu_count() or 1)),
                         help="worker pool size for trajectory blocks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,6 +394,8 @@ def main(argv=None):
     start = time.time()
     args.wall_time = lambda: time.time() - start
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (NumericError, np.linalg.LinAlgError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

@@ -233,10 +233,6 @@ class IntegralEstimate:
     sigma: float
     per_size: dict
 
-    def to_dict(self):
-        return {"value": self.value, "sigma": self.sigma,
-                "per_size": {str(k): list(v) for k, v in self.per_size.items()}}
-
 
 def integrate_unconstrained(k, t, n_max, mc_samples, seed=0):
     """Monte Carlo estimate of the unconstrained diagram sum up to n_max.
@@ -262,11 +258,11 @@ def integrate_unconstrained(k, t, n_max, mc_samples, seed=0):
     return IntegralEstimate(value=total, sigma=math.sqrt(var), per_size=per_size)
 
 
-def _laplace_t_cutoff(k, a, floor=1e-13):
+def _laplace_t_cutoff(k, a):
     ts = np.linspace(1e-9, 400.0, 8000)
     vals = np.exp(a * ts) * np.asarray([k(t) for t in ts])
     peak = vals.max()
-    above = np.nonzero(vals > floor * peak)[0]
+    above = np.nonzero(vals > 1e-13 * peak)[0]
     return float(ts[above[-1]]) * 1.5 if len(above) else 50.0
 
 
@@ -345,14 +341,17 @@ class BoundReport:
         }
 
 
-def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0, t_max=None):
+def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0):
     """Estimate the Laplace integrals over (minimally) irreducible classes
     and compare each against its closed-form contraction bound.
 
     Preconditions: ||t e^{at} k||_1 < 1 and ||t e^{(a + ||k||_1) t} k||_1 < 1.
     Estimates use the pinned-endpoint sampler; each comparison passes when
-    the estimate does not exceed its bound by more than three sigma.
+    the estimate does not exceed its bound by more than three sigma.  The
+    integrals are cut in t by `_laplace_t_cutoff`.
     """
+    if n_max < 1:
+        raise ValueError(f"need at least 1 pair per diagram, got n_max {n_max}")
     if mc_samples < 1:
         raise ValueError(f"need at least 1 Monte Carlo sample, got {mc_samples}")
     norms = kernel_norms(k, a)
@@ -364,8 +363,7 @@ def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0, t_max=None):
         raise PreconditionError(
             f"||t e^(a~t) k||_1 = {norms['t_exp_shift_weighted']:.4f} >= 1"
         )
-    if t_max is None:
-        t_max = _laplace_t_cutoff(k, a)
+    t_max = _laplace_t_cutoff(k, a)
 
     mir_val, mir_var, drawn = 0.0, 0.0, 0
     for n in range(1, n_max + 1):

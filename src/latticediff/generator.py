@@ -374,7 +374,7 @@ class CrosscheckReport:
     max_grid_peak_error: float
 
 
-def gain_kernel_crosscheck(cfg, bohr, xs, table=None, quad=None):
+def gain_kernel_crosscheck(cfg, bohr, xs, table=None):
     """Cross-validate one channel kernel three ways.
 
     For each lattice point x, compares (i) the closed sphere form of the
@@ -384,10 +384,8 @@ def gain_kernel_crosscheck(cfg, bohr, xs, table=None, quad=None):
     coefficient): the coefficient oscillates through zeros in x, where a
     pointwise relative error would be meaningless.
     """
-    from .reservoir import (DEFAULT_QUAD, gain_coefficient_position,
-                            gain_coefficient_sphere)
+    from .reservoir import gain_coefficient_position, gain_coefficient_sphere
 
-    quad = quad or DEFAULT_QUAD
     if table is None:
         table = build_rate_table(cfg)
     channel = next((c for c in table.channels
@@ -408,7 +406,7 @@ def gain_kernel_crosscheck(cfg, bohr, xs, table=None, quad=None):
     for x in xs:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         closed = gain_coefficient_sphere(cfg.bath, channel.bohr, x_arr)
-        timeq = gain_coefficient_position(cfg.bath, channel.bohr, x_arr, quad)
+        timeq = gain_coefficient_position(cfg.bath, channel.bohr, x_arr)
         phases = np.exp(1j * offsets @ x_arr)
         grid_val = float(np.real(kappa.ravel() @ phases)) * 2.0 * math.pi \
             * cfg.bath.psi_hat(channel.bohr)

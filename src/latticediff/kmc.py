@@ -268,7 +268,7 @@ def check_ensemble_args(n_traj, t_final):
 
 
 def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
-                 g_low=None, block_size=BLOCK_SIZE):
+                 g_low=None):
     """Simulate independent walkers and return diffusion/equipartition stats.
 
     Walkers start at x = 0 with uniform momentum and Gibbs-distributed
@@ -283,9 +283,9 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
         raise ValueError("probe momenta must be finite, got "
                          f"{[p.tolist() for p in probes]}")
     proc = _Process(table if table is not None else build_rate_table(cfg))
-    sizes = [block_size] * (n_traj // block_size)
-    if n_traj % block_size:
-        sizes.append(n_traj % block_size)
+    sizes = [BLOCK_SIZE] * (n_traj // BLOCK_SIZE)
+    if n_traj % BLOCK_SIZE:
+        sizes.append(n_traj % BLOCK_SIZE)
 
     def job(args):
         b, size = args

@@ -38,22 +38,14 @@ def _legendre_rule(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Resolution knobs for the frequency quadrature and the half-line tail.
-
-    The sphere integral and the time integrals are in closed form, so only
-    the frequency panel rule and the tail anchors have knobs.
-    """
-
-    rel_tol: float = 1e-8
-    panel_order: int = 16
-    phase_per_panel: float = 16.0
-    tail_head: float = 60.0       # head length of half-line time integrals
-    tail_averages: int = 8        # oscillatory-tail averaging depth
-
-
-DEFAULT_QUAD = QuadSpec()
+# The frequency rule and the half-line tail anchors.  The sphere integral
+# and the time integrals are in closed form, so these are the only
+# resolutions; a checked evaluation doubles the panel count and compares.
+REL_TOL = 1e-8
+PANEL_ORDER = 16
+PHASE_PER_PANEL = 16.0
+TAIL_HEAD = 60.0        # head length of half-line time integrals
+TAIL_AVERAGES = 8       # oscillatory-tail averaging depth
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,9 @@ class BathProfile:
             out[neg] = np.exp(self.beta * w[neg]) * self._positive_branch(-w[neg])
         return float(out[0]) if scalar else out
 
-    def omega_support(self, rel_cut=1e-16):
-        """Truncation radius: |psi_hat| below rel_cut * max outside [-R, R]."""
-        return _support_radius(self, rel_cut)
+    def omega_support(self):
+        """Truncation radius: |psi_hat| below 1e-16 * max outside [-R, R]."""
+        return _support_radius(self)
 
     def to_dict(self):
         if self.kind == "builtin_gaussian":
@@ -155,23 +147,18 @@ def _table_interp(omega, values):
 
 
 @lru_cache(maxsize=64)
-def _support_radius(profile, rel_cut):
+def _support_radius(profile):
     if profile.kind == "tabulated":
         return profile.table_omega[-1]
     hi = profile.cutoff * 14.0 + 4.0 / profile.beta
     w = np.linspace(1e-9, hi, 8193)
     vals = profile._positive_branch(w)
     peak = vals.max()
-    above = np.nonzero(vals >= rel_cut * peak)[0]
+    above = np.nonzero(vals >= 1e-16 * peak)[0]
     return float(w[above[-1]]) + 2.0 * (w[1] - w[0])
 
 
-def psi_hat(profile, omega):
-    """Module-level alias for BathProfile.psi_hat."""
-    return profile.psi_hat(omega)
-
-
-def _omega_nodes(profile, phase_rate, quad, refine=1):
+def _omega_nodes(profile, phase_rate, refine=1):
     """Panel Gauss-Legendre nodes on [-R, R], split at the origin.
 
     The split matters: the thermal branch switch leaves psi_hat only
@@ -179,10 +166,10 @@ def _omega_nodes(profile, phase_rate, quad, refine=1):
     rate (|t| + |x| for the correlation integral).
     """
     radius = profile.omega_support()
-    width = quad.phase_per_panel / max(phase_rate, quad.phase_per_panel / radius)
+    width = PHASE_PER_PANEL / max(phase_rate, PHASE_PER_PANEL / radius)
     per_side = max(4, int(math.ceil(radius / width))) * refine
     edges = np.linspace(0.0, radius, per_side + 1)
-    gl_x, gl_w = _legendre_rule(quad.panel_order)
+    gl_x, gl_w = _legendre_rule(PANEL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     nodes_pos = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
@@ -192,12 +179,12 @@ def _omega_nodes(profile, phase_rate, quad, refine=1):
     return nodes, weights
 
 
-def _psi_batch_raw(profile, xs, ts, quad, refine):
+def _psi_batch_raw(profile, xs, ts, refine):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     rnorm = np.linalg.norm(xs, axis=1)
     phase_rate = float(np.max(np.abs(ts) + rnorm))
-    nodes, weights = _omega_nodes(profile, phase_rate, quad, refine)
+    nodes, weights = _omega_nodes(profile, phase_rate, refine)
     wpsi = weights * profile.psi_hat(nodes)
     d = xs.shape[1]
     unique_r, inverse = np.unique(rnorm, return_inverse=True)
@@ -211,26 +198,26 @@ def _psi_batch_raw(profile, xs, ts, quad, refine):
     return out, len(nodes)
 
 
-def psi_xt_batch(profile, xs, ts, quad=DEFAULT_QUAD, check=True):
+def psi_xt_batch(profile, xs, ts, check=True):
     """Correlation psi(x_j, t_j) for matched arrays of points and times.
 
     With check=True the frequency panel count is doubled and the two
-    evaluations compared at `quad.rel_tol`; check=False skips the
+    evaluations compared at `REL_TOL`; check=False skips the
     doubled pass (used by the decay scans, which need many points but
     only modest accuracy).
     """
-    coarse, _ = _psi_batch_raw(profile, xs, ts, quad, refine=1)
+    coarse, _ = _psi_batch_raw(profile, xs, ts, refine=1)
     if not check:
         return coarse
-    fine, n_nodes = _psi_batch_raw(profile, xs, ts, quad, refine=2)
-    _check_refinement(profile, fine, coarse, quad.rel_tol, n_nodes,
+    fine, n_nodes = _psi_batch_raw(profile, xs, ts, refine=2)
+    _check_refinement(profile, fine, coarse, REL_TOL, n_nodes,
                       "correlation quadrature")
     return fine
 
 
 @lru_cache(maxsize=64)
 def _zero_point_scale(profile):
-    nodes, weights = _omega_nodes(profile, 1.0, DEFAULT_QUAD, 1)
+    nodes, weights = _omega_nodes(profile, 1.0)
     return float(weights @ profile.psi_hat(nodes)) * surface_area(profile.dim)
 
 
@@ -252,9 +239,9 @@ def _check_refinement(profile, fine, coarse, rel_tol, n_terms, what):
         )
 
 
-def psi_xt(profile, x, t, quad=DEFAULT_QUAD):
+def psi_xt(profile, x, t):
     """Correlation function psi(x, t) at a single space-time point."""
-    return complex(psi_xt_batch(profile, [np.atleast_1d(x)], [t], quad)[0])
+    return complex(psi_xt_batch(profile, [np.atleast_1d(x)], [t])[0])
 
 
 @dataclass(frozen=True)
@@ -267,17 +254,17 @@ class CorrelationSample:
     value: complex
 
 
-def correlation_samples(profile, x, times, quad=DEFAULT_QUAD):
+def correlation_samples(profile, x, times):
     """psi(x, t) along a time grid at fixed x, as CorrelationSample rows."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     times = np.asarray(times, dtype=float)
     values = psi_xt_batch(profile, np.tile(x_arr, (len(times), 1)), times,
-                          quad, check=False)
+                          check=False)
     return [CorrelationSample(x=tuple(x_arr), t=float(t), value=complex(v))
             for t, v in zip(times, values)]
 
 
-def _cumulative_halfline(profile, x, a, quad, refine):
+def _cumulative_halfline(profile, x, a, refine):
     """Partial integrals int_0^{T_j} psi(x, t) e^{i a t} dt at tail anchors.
 
     The time integral is exact at every frequency node (a Filon-type
@@ -291,10 +278,10 @@ def _cumulative_halfline(profile, x, a, quad, refine):
     Richardson-extrapolated instead.
     """
     stride = math.pi / max(abs(a), 0.25)
-    anchors = quad.tail_head + stride * np.arange(quad.tail_averages + 1)
+    anchors = TAIL_HEAD + stride * np.arange(TAIL_AVERAGES + 1)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(x_arr))
-    nodes, weights = _omega_nodes(profile, anchors[-1] + r, quad, refine)
+    nodes, weights = _omega_nodes(profile, anchors[-1] + r, refine)
     coef = (weights * profile.psi_hat(nodes)
             * plane_wave_average(len(x_arr), r * nodes))
     phase = np.multiply.outer(anchors, nodes + a)
@@ -302,7 +289,7 @@ def _cumulative_halfline(profile, x, a, quad, refine):
     return anchors, kernel @ coef, len(nodes)
 
 
-def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
+def half_line_fourier(profile, x, a):
     """int_0^infinity psi(x, t) exp(i a t) dt with oscillatory tail control.
 
     The built-in profile is only piecewise smooth at omega = 0, so
@@ -312,8 +299,7 @@ def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
     |a|), which removes the tail to high order.
     """
     def run(refine):
-        anchors, partials, n_nodes = _cumulative_halfline(profile, x, a, quad,
-                                                          refine)
+        anchors, partials, n_nodes = _cumulative_halfline(profile, x, a, refine)
         # the time kernel is at most anchors[-1] in size, which scales the
         # roundoff of the n_nodes-term sum
         n_terms = anchors[-1] * n_nodes
@@ -331,7 +317,7 @@ def half_line_fourier(profile, x, a, quad=DEFAULT_QUAD):
 
     coarse, _ = run(1)
     fine, n_terms = run(2)
-    _check_refinement(profile, fine, coarse, max(quad.rel_tol, 1e-9) * 50,
+    _check_refinement(profile, fine, coarse, max(REL_TOL, 1e-9) * 50,
                       n_terms, f"half-line Fourier integral at a={a}")
     return fine
 
@@ -344,14 +330,14 @@ def gain_coefficient_sphere(profile, a, x):
     return 2.0 * math.pi * profile.psi_hat(a) * average
 
 
-def gain_coefficient_position(profile, a, x, quad=DEFAULT_QUAD):
+def gain_coefficient_position(profile, a, x):
     """Full-line Fourier coefficient int dt e^{-i a t} psi(x, t).
 
     Hermiticity (psi(x, -t) = conj psi(x, t)) folds the integral onto the
     half line, so the result is real.  Used as the independent oracle for
     the closed sphere form and for the assembled momentum-grid kernel.
     """
-    half = half_line_fourier(profile, x, -a, quad)
+    half = half_line_fourier(profile, x, -a)
     return 2.0 * half.real
 
 
@@ -375,12 +361,11 @@ class DecayFit:
         }
 
 
-def _cone_samples(t, v_star, fractions):
-    radii = sorted({int(round(f * v_star * t)) for f in fractions})
-    return [max(0, r) for r in radii]
+# Fractions of the cone radius v* t sampled at each time by the decay check.
+CONE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _sup_on_sets(profile, times, radius_lists, dim, quad):
+def _sup_on_sets(profile, times, radius_lists, dim):
     """sup over sampled lattice |x| of |psi(x, t)| for each time."""
     xs, ts, owner = [], [], []
     for i, (t, radii) in enumerate(zip(times, radius_lists)):
@@ -390,29 +375,27 @@ def _sup_on_sets(profile, times, radius_lists, dim, quad):
             xs.append(vec)
             ts.append(t)
             owner.append(i)
-    vals = np.abs(psi_xt_batch(profile, np.array(xs), np.array(ts), quad, check=False))
+    vals = np.abs(psi_xt_batch(profile, np.array(xs), np.array(ts), check=False))
     sup = np.zeros(len(times))
     for v, i in zip(vals, owner):
         sup[i] = max(sup[i], v)
     return sup
 
 
-def check_subluminal_decay(profile, v_star, t_max, quad=DEFAULT_QUAD,
-                           t_min=5.0, n_t=20,
-                           fractions=(0.0, 0.25, 0.5, 0.75, 1.0)):
+def check_subluminal_decay(profile, v_star, t_max):
     """Fit an exponential decay rate to sup |psi| on the cone |x| <= v* t.
 
     Samples lattice points along an axis (rotational invariance makes the
     axis choice immaterial), fits log sup |psi| against t by least squares
-    over [t_min, t_max], and reports the rate and fit quality.  The rate
-    degrades as v* approaches the unit propagation speed of the bath,
+    at 20 times on [5, t_max], and reports the rate and fit quality.  The
+    rate degrades as v* approaches the unit propagation speed of the bath,
     which is flagged as a warning for v* >= 0.9.
     """
     if not 0.0 < v_star < 1.0:
         raise ValueError("v_star must lie in (0, 1)")
-    times = np.linspace(t_min, t_max, n_t)
-    radii = [_cone_samples(t, v_star, fractions) for t in times]
-    sup = _sup_on_sets(profile, times, radii, profile.dim, quad)
+    times = np.linspace(5.0, t_max, 20)
+    radii = [[round(f * v_star * t) for f in CONE_FRACTIONS] for t in times]
+    sup = _sup_on_sets(profile, times, radii, profile.dim)
     keep = sup > 1e-290
     if keep.sum() < 5:
         raise FitError("cone samples underflow: not enough points to fit")
@@ -434,15 +417,16 @@ def check_subluminal_decay(profile, v_star, t_max, quad=DEFAULT_QUAD,
     )
 
 
-def fit_sup_power(profile, t_min, t_max, quad=DEFAULT_QUAD, n_t=18):
-    """Power-law fit of sup_x |psi(x, t)| ~ C (1 + t)^p over [t_min, t_max]."""
-    times = np.geomspace(t_min, t_max, n_t)
+def fit_sup_power(profile, t_min, t_max):
+    """Power-law fit of sup_x |psi(x, t)| ~ C (1 + t)^p over [t_min, t_max],
+    at 18 geometrically spaced times."""
+    times = np.geomspace(t_min, t_max, 18)
     radius_lists = []
     for t in times:
         near_cone = {int(math.floor(t)) - 1, int(math.floor(t)), int(math.ceil(t)) + 1}
         inner = {0, int(round(0.25 * t)), int(round(0.5 * t)), int(round(0.75 * t))}
         radius_lists.append([r for r in near_cone | inner if r >= 0])
-    sup = _sup_on_sets(profile, times, radius_lists, profile.dim, quad)
+    sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
     keep = sup > 1e-290
     if keep.sum() < 5:
         raise FitError("sup samples underflow: not enough points to fit")
@@ -468,7 +452,7 @@ class IntegrabilityReport:
         return self.partial_integral + self.tail_estimate
 
 
-def check_time_integrability(profile, t_max, quad=DEFAULT_QUAD, n_t=24):
+def check_time_integrability(profile, t_max):
     """Integrate sup_x |psi(x, t)| on [0, t_max] and estimate the tail.
 
     The tail beyond t_max uses the fitted power law of `fit_sup_power`
@@ -476,16 +460,16 @@ def check_time_integrability(profile, t_max, quad=DEFAULT_QUAD, n_t=24):
     below -1.
     """
     head_times = np.linspace(0.0, 5.0, 9)
-    tail_times = np.geomspace(5.0, t_max, n_t)[1:]
+    tail_times = np.geomspace(5.0, t_max, 24)[1:]
     times = np.concatenate([head_times, tail_times])
     radius_lists = []
     for t in times:
         radii = {0, int(round(0.5 * t)), int(round(0.75 * t)),
                  int(math.floor(t)), int(math.ceil(t)) + 1}
         radius_lists.append([r for r in radii if r >= 0])
-    sup = _sup_on_sets(profile, times, radius_lists, profile.dim, quad)
+    sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
     partial = float(np.trapezoid(sup, times))
-    power, amplitude, _, _ = fit_sup_power(profile, max(5.0, t_max / 8.0), t_max, quad)
+    power, amplitude, _, _ = fit_sup_power(profile, max(5.0, t_max / 8.0), t_max)
     if power < -1.0:
         tail = amplitude * (1.0 + t_max) ** (power + 1.0) / (-(power + 1.0))
     else:
@@ -496,7 +480,7 @@ def check_time_integrability(profile, t_max, quad=DEFAULT_QUAD, n_t=24):
     )
 
 
-def lamb_shift(profile, spin, quad=DEFAULT_QUAD):
+def lamb_shift(profile, spin):
     """Bath-induced level shifts, reduced to one real number per channel.
 
     For each ordered level pair the half-line integral
@@ -511,7 +495,7 @@ def lamb_shift(profile, spin, quad=DEFAULT_QUAD):
     pairs = list(zip(*np.nonzero(amp)))
     needed = sorted({float(levels[ei] - levels[fi]) for fi, ei in pairs})
     origin = np.zeros(profile.dim)
-    im_integral = {a: half_line_fourier(profile, origin, a, quad).imag for a in needed}
+    im_integral = {a: half_line_fourier(profile, origin, a).imag for a in needed}
     per_level = np.zeros(len(levels))
     for fi, ei in pairs:
         per_level[fi] += amp[fi, ei] * im_integral[float(levels[ei] - levels[fi])]

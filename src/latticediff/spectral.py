@@ -43,7 +43,7 @@ class FDInconsistencyError(NumericError):
     """Finite-difference step-halving check failed."""
 
 
-def stationary_state(m00, ansatz=None, tol=1e-12, max_iter=8):
+def stationary_state(m00, ansatz=None):
     """Kernel vector of the population generator, normalized to total mass 1.
 
     Shifted inverse iteration: the shift sits a hair off zero so the
@@ -58,11 +58,11 @@ def stationary_state(m00, ansatz=None, tol=1e-12, max_iter=8):
     v = np.ones(n) if ansatz is None else np.asarray(ansatz, dtype=float).copy()
     v /= np.abs(v).sum()
     lu = lu_factor(m00.real - shift * np.eye(n))
-    for _ in range(max_iter):
+    for _ in range(8):
         v = lu_solve(lu, v)
         v /= np.abs(v).sum()
         resid = float(np.abs(m00 @ v).max())
-        if resid <= tol * scale:
+        if resid <= 1e-12 * scale:
             if v.sum() < 0:
                 v = -v
             return v
@@ -71,7 +71,7 @@ def stationary_state(m00, ansatz=None, tol=1e-12, max_iter=8):
     )
 
 
-def _two_sided_rayleigh(matrix, sigma0, v0, w0, tol=1e-13, max_iter=60):
+def _two_sided_rayleigh(matrix, sigma0, v0, w0):
     """Track a real eigentriple (eig, right, left) near sigma0 from v0, w0."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -83,7 +83,7 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0, tol=1e-13, max_iter=60):
     w /= np.linalg.norm(w)
     sigma = float(sigma0)
     resid = math.inf
-    for _ in range(max_iter):
+    for _ in range(60):
         with warnings.catch_warnings():
             # an exactly singular shift (A(0) at sigma = 0) is nudged below
             warnings.simplefilter("error", LinAlgWarning)
@@ -104,7 +104,7 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0, tol=1e-13, max_iter=60):
         mv = m @ v
         sigma = (w @ mv) / denom
         resid = float(np.linalg.norm(mv - sigma * v))
-        if resid <= tol * scale:
+        if resid <= 1e-13 * scale:
             return float(sigma), v, w
     raise TrackingLossError(
         f"eigenvalue iteration did not converge (residual {resid:.2e})"
@@ -213,7 +213,7 @@ class GapReport:
         }
 
 
-def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
+def spectral_gaps(cfg, table=None):
     """Bulk-separation rates for small and large momentum fibers.
 
     g_low bounds the bulk below the tracked eigenvalue over the small
@@ -224,10 +224,8 @@ def spectral_gaps(cfg, table=None, p_small=None, p_large=None):
     if table is None:
         table = build_rate_table(cfg)
     axis = np.eye(cfg.dim)[0]
-    if p_small is None:
-        p_small = [s * axis for s in (0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)]
-    if p_large is None:
-        p_large = [s * axis for s in (math.pi / 2, 3 * math.pi / 4, math.pi)]
+    p_small = [s * axis for s in (0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)]
+    p_large = [s * axis for s in (math.pi / 2, 3 * math.pi / 4, math.pi)]
 
     coherence = {a: coherence_top(table, a)
                  for a in np.unique([c.bohr for c in table.channels])}
@@ -302,19 +300,19 @@ class HessianDiffusion:
     richardson_defect: float
 
 
-def diffusion_tensor_hessian(cfg, table=None, h=1e-3):
+def diffusion_tensor_hessian(cfg, table=None):
     """Diffusion tensor from central second differences of the fiber curve.
 
     The top eigenvalue behaves as -(1/2) p . D p near p = 0, so the tensor
-    is minus the finite-difference Hessian.  Both the gradient (must
-    vanish by inversion symmetry) and the step-halving Richardson defect
-    are diagnostics; the returned tensor is the Richardson extrapolant.
+    is minus the finite-difference Hessian, at steps 1e-3 and 5e-4.  Both
+    the gradient (must vanish by inversion symmetry) and the step-halving
+    Richardson defect are diagnostics; the tensor is the extrapolant.
     """
     if table is None:
         table = build_rate_table(cfg)
     start = _start_vectors(cfg, table)
-    grad_h, hess_h = _hessian_once(cfg, table, h, start)
-    grad_2, hess_2 = _hessian_once(cfg, table, h / 2, start)
+    grad_h, hess_h = _hessian_once(cfg, table, 1e-3, start)
+    grad_2, hess_2 = _hessian_once(cfg, table, 1e-3 / 2, start)
     d_h = -hess_h
     d_2 = -hess_2
     tensor = (4.0 * d_2 - d_h) / 3.0

@@ -223,6 +223,41 @@ def test_diagrams_rejects_nonpositive_samples(tmp_path, samples):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,error", [
+    (["--nmax", "0"], "ValueError"),
+    (["--nmax", "-2"], "ValueError"),
+    (["--k", "1/0"], "DiagramError"),
+    (["--k", "t(1)"], "DiagramError"),
+], ids=["nmax-zero", "nmax-negative", "kernel-divides-by-zero",
+        "kernel-calls-a-number"])
+def test_diagrams_bad_check_input_exits_two(tmp_path, args, error):
+    out = tmp_path / "d1.json"
+    result = _run("diagrams", "--check-d1", *args, "--out", str(out))
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == error
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--threads", "0"], None),
+    (["--threads", "-2"], None),
+    ([], "0"),
+], ids=["flag-zero", "flag-negative", "env-zero"])
+def test_nonpositive_threads_exit_two(tmp_path, config_path, monkeypatch,
+                                      capsys, argv, env):
+    from latticediff import cli
+
+    if env is not None:
+        monkeypatch.setenv("LATTICEDIFF_THREADS", env)
+    out = tmp_path / "validate.json"
+    code = cli.main([*argv, "validate", "--config", config_path,
+                     "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_diagrams_report_records_samples_drawn(tmp_path):
     # --samples 1 puts every Monte Carlo shape at its floor: 16 strata of 64
     # for each minimally irreducible shape of size 2..4, 16 strata of 128

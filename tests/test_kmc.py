@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from latticediff import kmc
 from latticediff.generator import escape_rates
 from latticediff.kmc import _wrap, run_ensemble, sample_paths
 from latticediff.model import DispersionSpec, GridSpec, ModelConfig, SpinSystem
@@ -190,11 +191,10 @@ def test_reproducible_for_fixed_seed(ref1d, ref1d_table):
     assert a.cgf[0].value == b.cgf[0].value
 
 
-def test_reproducible_across_thread_counts(ref1d, ref1d_table):
-    a = run_ensemble(ref1d, 70000, 8.0, table=ref1d_table, threads=1,
-                     block_size=16384)
-    b = run_ensemble(ref1d, 70000, 8.0, table=ref1d_table, threads=4,
-                     block_size=16384)
+def test_reproducible_across_thread_counts(ref1d, ref1d_table, monkeypatch):
+    monkeypatch.setattr(kmc, "BLOCK_SIZE", 16384)
+    a = run_ensemble(ref1d, 70000, 8.0, table=ref1d_table, threads=1)
+    b = run_ensemble(ref1d, 70000, 8.0, table=ref1d_table, threads=4)
     assert np.array_equal(a.cov_x, b.cov_x)
     assert np.array_equal(a.k_hist, b.k_hist)
 

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from latticediff import reservoir
 from latticediff.model import SpinSystem
-from latticediff.reservoir import (DEFAULT_QUAD, BathProfile, QuadratureError,
-                                   QuadSpec, check_subluminal_decay,
+from latticediff.reservoir import (BathProfile, QuadratureError,
+                                   check_subluminal_decay,
                                    check_time_integrability,
                                    gain_coefficient_position,
                                    gain_coefficient_sphere, half_line_fourier,
@@ -26,6 +26,24 @@ def bath4():
 @pytest.fixture(scope="module")
 def bath2():
     return BathProfile("builtin_gaussian", beta=1.0, dim=2, cutoff=2.0)
+
+
+@pytest.fixture
+def rule(monkeypatch):
+    """Set frequency-rule constants of `reservoir` for one test.
+
+    The roundoff floor of the refinement checks scales with psi(0, 0),
+    which `_zero_point_scale` caches per profile under the default rule:
+    each profile's entry is warmed before the constants change, and the
+    cache is cleared when the test ends, so no patched value outlives it.
+    """
+    def patch(profile, **constants):
+        reservoir._zero_point_scale(profile)
+        for name, value in constants.items():
+            monkeypatch.setattr(reservoir, name, value)
+
+    yield patch
+    reservoir._zero_point_scale.cache_clear()
 
 
 def test_zero_frequency_weight_vanishes(bath4):
@@ -81,7 +99,7 @@ def test_builtin_rejects_bad_parameters():
 def test_origin_value_is_sphere_times_frequency_integral(bath4):
     # independent oracle: 1d quadrature of psi_hat * exp(i w t) over the support
     t = 2.3
-    nodes, weights = _omega_nodes(bath4, abs(t), DEFAULT_QUAD, refine=2)
+    nodes, weights = _omega_nodes(bath4, abs(t), refine=2)
     oracle = surface_area(4) * np.sum(
         weights * bath4.psi_hat(nodes) * np.exp(1j * nodes * t))
     value = psi_xt(bath4, [0, 0, 0, 0], t)
@@ -127,16 +145,16 @@ def test_rotational_invariance(bath2):
     assert a == pytest.approx(b, rel=1e-8)
 
 
-def test_refinement_doubling_converges(bath4):
-    # psi_xt raises on refinement disagreement; also compare two specs
-    tight = QuadSpec(rel_tol=1e-8, panel_order=16, phase_per_panel=12.0)
-    for (x, t) in [((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), 5.0), ((1, 1, 0, 0), 9.0)]:
-        base = psi_xt(bath4, x, t)
-        ref = psi_xt(bath4, x, t, tight)
-        assert base == pytest.approx(ref, rel=1e-8)
+def test_refinement_doubling_converges(bath4, rule):
+    # psi_xt raises on refinement disagreement; also compare two rules
+    points = [((0, 0, 0, 0), 1.0), ((2, 0, 0, 0), 5.0), ((1, 1, 0, 0), 9.0)]
+    base = [psi_xt(bath4, x, t) for x, t in points]
+    rule(bath4, PHASE_PER_PANEL=12.0)
+    for (x, t), value in zip(points, base):
+        assert value == pytest.approx(psi_xt(bath4, x, t), rel=1e-8)
 
 
-def test_refinement_check_allows_roundoff_only():
+def test_refinement_check_allows_roundoff_only(rule):
     # outside the light cone |psi| is at the roundoff of the omega sum, so
     # the check must allow n_nodes eps |psi(0, 0)| on top of rel_tol |psi|
     bath3 = BathProfile("builtin_gaussian", beta=1.0, dim=3, cutoff=2.0)
@@ -145,12 +163,14 @@ def test_refinement_check_allows_roundoff_only():
                  rng.uniform(-20.0, 20.0, size=40))
     psi_xt(bath3, (-6.0, -5.0, -6.0), -0.004)
     # an under-resolved rule moves O(1) values far beyond that allowance
-    coarse = QuadSpec(panel_order=4, phase_per_panel=64.0)
-    for x, t in [((0.5, 0.0, 0.0), 1.0), ((1.0, 1.0, 0.0), 2.0),
-                 ((0.0, 0.0, 0.0), 3.0)]:
+    points = [((0.5, 0.0, 0.0), 1.0), ((1.0, 1.0, 0.0), 2.0),
+              ((0.0, 0.0, 0.0), 3.0)]
+    for x, t in points:
         assert abs(psi_xt_batch(bath3, [x], [t], check=False)[0]) > 0.1
+    rule(bath3, PANEL_ORDER=4, PHASE_PER_PANEL=64.0)
+    for x, t in points:
         with pytest.raises(QuadratureError):
-            psi_xt(bath3, x, t, coarse)
+            psi_xt(bath3, x, t)
 
 
 def test_cone_decay_fit_passes(bath4):
@@ -161,9 +181,10 @@ def test_cone_decay_fit_passes(bath4):
     assert fit.warning == ""
 
 
-def test_origin_line_decays_as_cone_subset(bath4):
+def test_origin_line_decays_as_cone_subset(bath4, monkeypatch):
     # v = 0: the x = 0 line alone is a subset of any subluminal cone
-    fit = check_subluminal_decay(bath4, 0.5, 20.0, fractions=(0.0,))
+    monkeypatch.setattr(reservoir, "CONE_FRACTIONS", (0.0,))
+    fit = check_subluminal_decay(bath4, 0.5, 20.0)
     assert fit.rate > 0
     assert fit.r_squared >= 0.95
 
@@ -270,21 +291,21 @@ def test_batch_matches_single(bath4):
         assert batch[i] == pytest.approx(psi_xt(bath4, xs[i], ts[i]), rel=1e-10)
 
 
-def _time_quadrature_partials(profile, x, a, anchors, quad=DEFAULT_QUAD):
+def _time_quadrature_partials(profile, x, a, anchors):
     """Partial integrals int_0^{T_j} psi(x, t) e^{iat} dt by a Gauss-Legendre
     rule in t, with panels sized for the phase rate R + |a| and an edge at
     every anchor T_j; psi(x, t) comes from the omega rule at each t node."""
     rate = profile.omega_support() + abs(a)
     edges = [np.linspace(0.0, anchors[0], max(
-        4, math.ceil(anchors[0] * rate / quad.phase_per_panel)) + 1)]
+        4, math.ceil(anchors[0] * rate / reservoir.PHASE_PER_PANEL)) + 1)]
     for lo, hi in zip(anchors[:-1], anchors[1:]):
-        n_sub = max(2, math.ceil((hi - lo) * rate / quad.phase_per_panel))
+        n_sub = max(2, math.ceil((hi - lo) * rate / reservoir.PHASE_PER_PANEL))
         edges.append(np.linspace(lo, hi, n_sub + 1)[1:])
     edges = np.concatenate(edges)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(quad.panel_order)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(reservoir.PANEL_ORDER)
     half = 0.5 * np.diff(edges)[:, None]
     t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * gl_x).ravel()
-    psi = psi_xt_batch(profile, np.tile(x, (len(t), 1)), t, quad, check=False)
+    psi = psi_xt_batch(profile, np.tile(x, (len(t), 1)), t, check=False)
     terms = (half * gl_w).ravel() * psi * np.exp(1j * a * t)
     cum = np.concatenate([[0.0], np.cumsum(terms.reshape(len(half), -1).sum(axis=1))])
     return cum[np.searchsorted(edges, anchors)]
@@ -297,18 +318,19 @@ def test_halfline_partials_match_time_quadrature(d):
     prof = BathProfile("builtin_gaussian", beta=1.0, dim=d, cutoff=2.0)
     for a in (0.0, 0.1, -1.0, 2.5):
         for x in (np.zeros(d), np.array([2.0, -1.0, 0.0, 0.0])[:d]):
-            anchors, partials, _ = _cumulative_halfline(prof, x, a, DEFAULT_QUAD, 1)
+            anchors, partials, _ = _cumulative_halfline(prof, x, a, 1)
             oracle = _time_quadrature_partials(prof, x, a, anchors)
             err = np.max(np.abs(partials - oracle))
             assert err <= 1e-12 * np.max(np.abs(partials)), (a, x)
 
 
-@pytest.mark.parametrize("spec", [QuadSpec(panel_order=4),
-                                  QuadSpec(phase_per_panel=64.0)])
-def test_halfline_refinement_check_rejects_coarse_rule(bath2, spec):
+@pytest.mark.parametrize("spec", [{"PANEL_ORDER": 4},
+                                  {"PHASE_PER_PANEL": 64.0}])
+def test_halfline_refinement_check_rejects_coarse_rule(bath2, rule, spec):
+    rule(bath2, **spec)
     for a, x in ((0.7, (1.0, 0.0)), (-1.5, (2.0, -1.0))):
         with pytest.raises(QuadratureError):
-            half_line_fourier(bath2, x, a, spec)
+            half_line_fourier(bath2, x, a)
 
 
 def test_lamb_shift_integrates_only_coupled_frequencies(monkeypatch):
@@ -316,9 +338,9 @@ def test_lamb_shift_integrates_only_coupled_frequencies(monkeypatch):
     prof = BathProfile("builtin_gaussian", beta=1.0, dim=1, cutoff=2.0)
     seen = []
 
-    def spy(profile, x, a, quad=DEFAULT_QUAD):
+    def spy(profile, x, a):
         seen.append(a)
-        return half_line_fourier(profile, x, a, quad)
+        return half_line_fourier(profile, x, a)
 
     monkeypatch.setattr(reservoir, "half_line_fourier", spy)
     shifts = lamb_shift(prof, SpinSystem((0, 1), ((0, 1), (1, 0))))
