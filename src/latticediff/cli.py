@@ -106,8 +106,9 @@ def _kernel_from_expression(expr):
 
     def k(t):
         try:
-            return eval(code, {"__builtins__": {}}, {**allowed, "t": t})
-        except (ZeroDivisionError, TypeError) as exc:
+            return np.asarray(eval(code, {"__builtins__": {}},
+                                   {**allowed, "t": t}), dtype=float)
+        except (ZeroDivisionError, TypeError, ValueError) as exc:
             # a DiagramError, because the kernel norms map ValueError to inf
             raise DiagramError(f"kernel expression {expr!r} fails at "
                                f"t = {t}: {exc}") from exc
@@ -314,8 +315,15 @@ def cmd_diagrams(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as `ValueError`, so that `main` reports them as JSON."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticediff",
         description="Lattice particle in a thermal boson bath: generator "
                     "assembly, spectra, diffusion, simulation, diagram bounds.",
@@ -389,11 +397,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     start = time.time()
-    args.wall_time = lambda: time.time() - start
     try:
+        args = build_parser().parse_args(argv)
+        args.wall_time = lambda: time.time() - start
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)

@@ -15,7 +15,7 @@ and independent of the worker thread count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,10 +39,7 @@ class _Process:
         rates = table.transition_matrix()
         self.total_rate = rates.sum(axis=1)
         with np.errstate(divide="ignore"):
-            self.inv_rate = np.where(self.total_rate > 0,
-                                     1.0 / np.where(self.total_rate > 0,
-                                                    self.total_rate, 1.0),
-                                     np.inf)
+            self.inv_rate = 1.0 / self.total_rate     # inf at a zero rate
         prob = np.zeros_like(rates)
         alive = self.total_rate > 0
         prob[alive] = rates[alive] / self.total_rate[alive, None]
@@ -75,30 +72,21 @@ class _BlockStats:
     cgf_moments: np.ndarray   # per probe: [re^2, im^2, re*im] sums
 
     def merge(self, other):
-        return _BlockStats(
-            count=self.count + other.count,
-            sum_x=self.sum_x + other.sum_x,
-            sum_xx=self.sum_xx + other.sum_xx,
-            sum_xx2=self.sum_xx2 + other.sum_xx2,
-            sum_x2ii=self.sum_x2ii + other.sum_x2ii,
-            level_counts=self.level_counts + other.level_counts,
-            k_counts=self.k_counts + other.k_counts,
-            cgf_sum=self.cgf_sum + other.cgf_sum,
-            cgf_moments=self.cgf_moments + other.cgf_moments,
-        )
+        return _BlockStats(**{f.name: getattr(self, f.name)
+                              + getattr(other, f.name) for f in fields(self)})
 
 
 def _start(proc, rng, n, t_final):
-    """Walkers at x = 0 with uniform k and a Gibbs level: (x, k, e, t_rem, cur_inv)."""
+    """Walkers at x = 0 with uniform k and a Gibbs level: (x, k, e, t_rem)."""
     k = rng.uniform(-math.pi, math.pi, size=(n, proc.dim))
     e = np.searchsorted(proc.gibbs_cum, rng.random(n)).clip(0, len(proc.levels) - 1)
     x = np.zeros((n, proc.dim))
     t_rem = np.full(n, float(t_final))
-    return x, k, e, t_rem, proc.inv_rate[e]
+    return x, k, e, t_rem
 
 
-def _rounds(proc, rng, x, k, e, t_rem, cur_inv):
-    """Run walkers to t_final in lockstep rounds; yield who jumped in each.
+def _rounds(proc, rng, x, k, e, t_rem):
+    """Run walkers to t_final in lockstep rounds; yield the mask of who jumped.
 
     The jump law: an exponential wait at the level's escape rate, free
     flight at the group velocity, a level chosen in proportion to the
@@ -106,39 +94,43 @@ def _rounds(proc, rng, x, k, e, t_rem, cur_inv):
     walker whose wait overruns its remaining time flies to t_final and
     stops.  All draws happen for every slot every round, so the stream
     consumed depends only on the key and the walker count.  The state
-    arrays are updated in place.  The loop lives in this generator, not
-    in its callers, so each round's temporaries stay allocated until the
-    next round replaces them: freeing them all between rounds made the
-    allocator return and re-fault the pages, ~20 % slower per block.
+    arrays are updated in place by full-vector operations: a walker that
+    does not jump keeps its level and gets a zero kick (`radius` has a zero
+    diagonal).  k is never wrapped here, as the velocity is 2 pi-periodic.
+    The loop lives in this generator, so each round's temporaries stay
+    allocated until the next round replaces them: freeing them between
+    rounds made the allocator return and re-fault the pages, ~20 % slower.
     """
     n, d = x.shape
     n_lvl = len(proc.levels)
     two_level = n_lvl == 2
+    radius = proc.radius.ravel()
     while t_rem.any():
-        u_wait = rng.exponential(size=n)
+        dt = rng.exponential(size=n)
         u_level = None if two_level else rng.random(n)
         if d == 1:
-            s = np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None]
+            s = rng.random(n) - 0.5    # its sign is the kick's
         else:
-            g = rng.normal(size=(n, d))
-            s = g / np.linalg.norm(g, axis=1, keepdims=True)
-        dt = u_wait * cur_inv
+            s = rng.normal(size=(n, d))
+            s /= np.sqrt(np.einsum("ij,ij->i", s, s))[:, None]
+        dt *= proc.inv_rate.take(e)
         jump = dt < t_rem
-        fly = np.where(jump, dt, t_rem)
+        # fmin, not minimum: a zero-rate level's wait 0 * inf is NaN
+        fly = np.fmin(dt, t_rem, out=dt)
         x += proc.velocity(k) * fly[:, None]
         t_rem -= fly
-        idx = np.nonzero(jump)[0]
-        if len(idx):
-            if two_level:
-                e_new = 1 - e[idx]
-            else:
-                rows = proc.cum_prob[e[idx]]
-                e_new = (u_level[idx, None] > rows).sum(axis=1).clip(0, n_lvl - 1)
-            kick = proc.radius[e[idx], e_new]
-            k[idx] = _wrap(k[idx] + kick[:, None] * s[idx])
-            e[idx] = e_new
-            cur_inv[idx] = proc.inv_rate[e_new]
-        yield idx
+        if two_level:
+            e_new = e ^ jump
+        else:
+            e_new = (u_level[:, None] > proc.cum_prob[e]).sum(axis=1)
+            e_new = np.where(jump, e_new.clip(0, n_lvl - 1), e)
+        kick = radius.take(e * n_lvl + e_new)
+        if d == 1:
+            k[:, 0] += np.copysign(kick, s, out=kick)
+        else:
+            k += kick[:, None] * s
+        e[:] = e_new
+        yield jump
 
 
 def _philox(seed, stream):
@@ -157,8 +149,8 @@ def _simulate_block(proc, n, t_final, seed, block_index, probes):
     rng = _philox(seed, block_index)
     d = proc.dim
     n_lvl = len(proc.levels)
-    x, k, e, t_rem, cur_inv = _start(proc, rng, n, t_final)
-    for _ in _rounds(proc, rng, x, k, e, t_rem, cur_inv):
+    x, k, e, t_rem = _start(proc, rng, n, t_final)
+    for _ in _rounds(proc, rng, x, k, e, t_rem):
         pass
 
     outer = x[:, :, None] * x[:, None, :]
@@ -170,7 +162,8 @@ def _simulate_block(proc, n, t_final, seed, block_index, probes):
         sum_x2ii=(x ** 2).sum(axis=0),
         level_counts=np.bincount(e, minlength=n_lvl).astype(float),
         k_counts=np.stack([
-            np.histogram(k[:, ax], bins=K_BINS, range=(-math.pi, math.pi))[0]
+            np.histogram(_wrap(k[:, ax]), bins=K_BINS,
+                         range=(-math.pi, math.pi))[0]
             for ax in range(d)
         ]).astype(float),
         cgf_sum=np.zeros(len(probes), dtype=complex),
@@ -359,15 +352,15 @@ def sample_paths(cfg, n_paths, t_final, table=None):
     _check_horizon(t_final)
     proc = _Process(table if table is not None else build_rate_table(cfg))
     rng = _philox(cfg.rng_seed, 1 << 32)
-    x, k, e, t_rem, cur_inv = _start(proc, rng, n_paths, t_final)
+    x, k, e, t_rem = _start(proc, rng, n_paths, t_final)
 
     def row(i):
         return (int(i), float(t_final - t_rem[i]), tuple(x[i].tolist()),
-                tuple(k[i].tolist()), int(e[i]))
+                tuple(_wrap(k[i]).tolist()), int(e[i]))
 
     paths = [[row(i)] for i in range(n_paths)]
-    for jumped in _rounds(proc, rng, x, k, e, t_rem, cur_inv):
-        for i in jumped:
+    for jumped in _rounds(proc, rng, x, k, e, t_rem):
+        for i in np.flatnonzero(jumped):
             paths[i].append(row(i))
     for i, rows in enumerate(paths):
         rows.append(row(i))

@@ -228,8 +228,9 @@ def test_diagrams_rejects_nonpositive_samples(tmp_path, samples):
     (["--nmax", "-2"], "ValueError"),
     (["--k", "1/0"], "DiagramError"),
     (["--k", "t(1)"], "DiagramError"),
+    (["--k", "exp"], "DiagramError"),
 ], ids=["nmax-zero", "nmax-negative", "kernel-divides-by-zero",
-        "kernel-calls-a-number"])
+        "kernel-calls-a-number", "kernel-is-a-function"])
 def test_diagrams_bad_check_input_exits_two(tmp_path, args, error):
     out = tmp_path / "d1.json"
     result = _run("diagrams", "--check-d1", *args, "--out", str(out))
@@ -256,6 +257,33 @@ def test_nonpositive_threads_exit_two(tmp_path, config_path, monkeypatch,
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--threads", "x", "validate"], None),
+    (["validate"], "x"),
+    (["spectrum", "--steps", "abc"], None),
+], ids=["threads-flag", "threads-env", "spectrum-steps"])
+def test_argument_type_errors_exit_two_with_json(tmp_path, config_path,
+                                                 monkeypatch, capsys, argv,
+                                                 env):
+    from latticediff import cli
+
+    if env is not None:
+        monkeypatch.setenv("LATTICEDIFF_THREADS", env)
+    out = tmp_path / "out.json"
+    code = cli.main([*argv, "--config", config_path, "--out", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError"
+    assert "invalid int value" in error["message"]
+    assert not out.exists()
+
+
+def test_help_exits_zero():
+    result = _run("--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: latticediff")
 
 
 def test_diagrams_report_records_samples_drawn(tmp_path):

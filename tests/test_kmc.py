@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from latticediff import kmc
-from latticediff.generator import escape_rates
+from latticediff.generator import build_rate_table, escape_rates
 from latticediff.kmc import _wrap, run_ensemble, sample_paths
 from latticediff.model import DispersionSpec, GridSpec, ModelConfig, SpinSystem
 from latticediff.presets import reference_1d, reference_2d
@@ -20,6 +20,87 @@ def _single_level_model():
         beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=1),
         grid=GridSpec(points_per_axis=16, sphere_nodes=2),
     )
+
+
+def _three_level_model(couplings):
+    return ModelConfig(
+        dim=1, dispersion=DispersionSpec("nearest_neighbor"),
+        spin=SpinSystem(levels=(0.0, 0.7, 1.9), couplings=couplings),
+        beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=1),
+        grid=GridSpec(points_per_axis=16, sphere_nodes=2),
+    )
+
+
+def _reference_rounds(proc, rng, x, k, e, t_rem, cur_inv):
+    """The round loop as first written, the oracle for `kmc._rounds`:
+    the jumpers are gathered with `nonzero`, k is wrapped after every
+    kick, and the indices of the jumpers are yielded."""
+    n, d = x.shape
+    n_lvl = len(proc.levels)
+    two_level = n_lvl == 2
+    while t_rem.any():
+        u_wait = rng.exponential(size=n)
+        u_level = None if two_level else rng.random(n)
+        if d == 1:
+            s = np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None]
+        else:
+            g = rng.normal(size=(n, d))
+            s = g / np.linalg.norm(g, axis=1, keepdims=True)
+        dt = u_wait * cur_inv
+        jump = dt < t_rem
+        fly = np.where(jump, dt, t_rem)
+        x += proc.velocity(k) * fly[:, None]
+        t_rem -= fly
+        idx = np.nonzero(jump)[0]
+        if len(idx):
+            if two_level:
+                e_new = 1 - e[idx]
+            else:
+                rows = proc.cum_prob[e[idx]]
+                e_new = (u_level[idx, None] > rows).sum(axis=1).clip(0, n_lvl - 1)
+            kick = proc.radius[e[idx], e_new]
+            k[idx] = _wrap(k[idx] + kick[:, None] * s[idx])
+            e[idx] = e_new
+            cur_inv[idx] = proc.inv_rate[e_new]
+        yield idx
+
+
+STREAM_MODELS = {
+    "reference_1d": reference_1d,
+    "reference_2d": lambda: reference_2d(n_k=8, m_dir=8),
+    "three_level": lambda: _three_level_model(
+        ((0, 0.5, 0.5), (0.5, 0, 0.5), (0.5, 0.5, 0))),
+    "single_level": _single_level_model,
+    # the middle level is coupled to nothing: its escape rate is zero
+    "zero_rate_level": lambda: _three_level_model(
+        ((0, 0, 1), (0, 0, 0), (1, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
+def test_rounds_consume_the_reference_stream(name):
+    cfg = STREAM_MODELS[name]()
+    proc = kmc._Process(build_rate_table(cfg))
+    rngs = [kmc._philox(cfg.rng_seed, 5) for _ in range(2)]
+    new, ref = [kmc._start(proc, rng, 1024, 30.0) for rng in rngs]
+    x, k, e, t_rem = new
+    x0, k0, e0, t_rem0 = ref
+    rounds = 0
+    for jump, idx in zip(kmc._rounds(proc, rngs[0], *new),
+                         _reference_rounds(proc, rngs[1], *ref,
+                                           proc.inv_rate[e0]),
+                         strict=True):
+        assert np.array_equal(np.flatnonzero(jump), idx)
+        assert np.array_equal(t_rem, t_rem0)
+        assert np.array_equal(e, e0)
+        rounds += 1
+    assert rounds >= (1 if name == "single_level" else 50)
+    np.testing.assert_equal(rngs[0].bit_generator.state,
+                            rngs[1].bit_generator.state)
+    assert np.abs(x - x0).max() <= 1e-12 * np.abs(x0).max()
+    assert np.abs(_wrap(k - k0)).max() <= 1e-12 * max(np.abs(k).max(), math.pi)
+    if name == "zero_rate_level":
+        assert np.count_nonzero(e == 1) > 0
 
 
 def _paths(rows):
