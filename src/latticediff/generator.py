@@ -12,8 +12,10 @@ Translation invariance also makes the gain independent of the fiber momentum
 p: it is built once per (rate table, grid) and every fiber shares it
 read-only, adding only its loss and p-dependent kinetic diagonals.  In
 the grid's Fourier-mode basis the p = 0 fiber is one small real level block
-A(x) per mode, also built once; every fiber's spectral sectors are those
-blocks plus its kinetic term as a convolution over the modes (`_sectors`).
+A(x) per mode, also built once.  A fiber's spectral sectors come from p
+alone (`_sectors`): those blocks plus the kinetic term as a stencil that
+couples mode x to x +- m e_i by -+(-1)^m c_im sin(m p_i / 2); an axis with
+p_i = 0 or a flat dispersion row stays free.
 """
 
 import functools
@@ -231,36 +233,40 @@ def _grid_mode_blocks(table, n_axis):
     return blocks
 
 
-def _sectors(cfg, table, kinetic):
-    """Free axes F of a population fiber and its sector blocks B(x_F).
+def _sectors(cfg, table, p, zero_only=False):
+    """Free axes F of the population fiber M(p) and its sector blocks B(x_F).
 
-    An axis is free when the kinetic diagonal is exactly constant along it
-    (p_i = 0, or a flat dispersion row); the gain is circulant, so M(p) is
-    block-diagonal over the Fourier modes x_F of the free axes.  A block,
-    in the mode basis of the other axes, holds A(x) on its diagonal and
-    -i Delta eps as a convolution over those modes, with the kernel
-    fftn(Delta eps) / N^(d-|F|): Delta eps(p, k) is odd in k, so at real p
-    the kernel is imaginary and the block real.  Returns F and the float64
-    stack (N^|F|, L N^(d-|F|), L N^(d-|F|)), C order over x_F, level-major.
+    An axis is free when p_i = 0 or its dispersion row is all zero: the
+    gain is circulant, so M(p) is block-diagonal over the Fourier modes x_F
+    of the free axes.  A block, in the mode basis of the other axes, holds
+    A(x) on its diagonal and the kinetic term -i Delta eps as a stencil on
+    every level: mode x' feeds x = x' +- m e_i (mod N) with weight -+w,
+    w = (-1)^m c_im sin(m p_i / 2), where the (-1)^m comes from the grid
+    starting at k = -pi.  At real p the blocks are real.  Returns F and the
+    float64 stack (N^|F|, L N^(d-|F|), L N^(d-|F|)), C order over x_F,
+    level-major; `zero_only` builds the x_F = 0 sector alone.
     """
     d, n_axis = cfg.dim, cfg.grid.points_per_axis
     n_lvl = len(table.levels)
-    grid = (n_axis,) * d
-    kinetic = np.reshape(kinetic[:n_axis ** d], grid)
-    free = tuple(i for i in range(d)
-                 if np.all(kinetic == kinetic.take([0], axis=i)))
-    n_rest = n_axis ** (d - len(free))
+    coeffs = cfg.dispersion.per_axis(d)
+    free = tuple(i for i in range(d) if p[i] == 0 or not np.any(coeffs[i]))
+    rest = [i for i in range(d) if i not in free]
+    n_rest = n_axis ** len(rest)
     blocks = np.moveaxis(
-        _grid_mode_blocks(table, n_axis).reshape(grid + (n_lvl, n_lvl)),
+        _grid_mode_blocks(table, n_axis).reshape((n_axis,) * d + (n_lvl, n_lvl)),
         free, range(len(free))).reshape(-1, n_rest, n_lvl, n_lvl)
-    stack = np.zeros((len(blocks), n_lvl, n_rest, n_lvl, n_rest))
+    blocks = blocks[:1] if zero_only else blocks
+    eye = np.eye(n_rest).reshape((n_axis,) * (2 * len(rest)))
+    kinetic = np.zeros_like(eye)
+    for j, i in enumerate(rest):
+        for m, c in enumerate(coeffs[i], start=1):
+            w = (-1) ** m * c * math.sin(m * p[i] / 2.0)
+            kinetic -= w * (np.roll(eye, m, axis=j) - np.roll(eye, -m, axis=j))
     x = np.arange(n_rest)
+    stack = np.zeros((len(blocks), n_lvl, n_rest, n_lvl, n_rest))
     stack[:, :, x, :, x] = np.moveaxis(blocks, 1, 0)
-    source = kinetic[tuple(slice(1) if i in free else slice(None)
-                           for i in range(d))]
     lvl = np.arange(n_lvl)
-    stack[:, lvl, :, lvl, :] += _circulant_from_kernel(
-        np.fft.fftn(source).imag / n_rest)
+    stack[:, lvl, :, lvl, :] += kinetic.reshape(n_rest, n_rest)
     return free, stack.reshape(len(blocks), n_lvl * n_rest, n_lvl * n_rest)
 
 
@@ -291,7 +297,7 @@ class FiberBlock:
 def _kinetic_difference(cfg, p):
     """eps(k + p/2) - eps(k - p/2), summed per axis and harmonic as
     c_im [cos(m(k_i - p_i/2)) - cos(m(k_i + p_i/2))]: an axis with p_i = 0
-    adds exact zeros, so the fiber splits over it (`_sectors`)."""
+    adds exact zeros, so the dense fiber splits over it as `_sectors` does."""
     coeffs = cfg.dispersion.per_axis(cfg.dim)
     harmonics = np.arange(1, coeffs.shape[1] + 1)
     kpts = cfg.grid_points()

@@ -272,9 +272,9 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
     """
     check_ensemble_args(n_traj, t_final)
     probes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in probes]
-    if not all(np.isfinite(p).all() for p in probes):
-        raise ValueError("probe momenta must be finite, got "
-                         f"{[p.tolist() for p in probes]}")
+    if not all(p.shape == (cfg.dim,) and np.isfinite(p).all() for p in probes):
+        raise ValueError(f"probe momenta must be finite with {cfg.dim} "
+                         f"components, got {[p.tolist() for p in probes]}")
     proc = _Process(table if table is not None else build_rate_table(cfg))
     sizes = [BLOCK_SIZE] * (n_traj // BLOCK_SIZE)
     if n_traj % BLOCK_SIZE:

@@ -13,8 +13,9 @@ exact sphere average gives the grid-free tensor (the `continuum` entry of
 Gaps, spectra and the Hessian work per Fourier sector of each fiber's
 free axes, in the grid's Fourier-mode basis, where a fiber at real p is
 real: every eigensolve runs in float64, free axis or none.  The sectors
-come from `generator._sectors`, which needs only the fiber's kinetic
-diagonal besides the shared mode blocks.
+come from `generator._sectors`, built from p and the shared mode blocks
+with the kinetic term as a closed-form stencil, never from a dense fiber;
+the tracked eigenvalue and the Hessian need only the x_F = 0 sector.
 """
 
 import math
@@ -133,11 +134,11 @@ def _start_vectors(cfg, table):
     return v.reshape(2, -1)
 
 
-def _track_top(cfg, table, kinetic, sigma, right, left):
-    """Two-sided Rayleigh on the x_F = 0 sector of a fiber's `_sectors`;
-    returns (eig, right, left, stack).  The vectors live in the mode basis
-    of grid x levels: the x_F = 0 slice projects, zero padding lifts."""
-    free, stack = _sectors(cfg, table, kinetic)
+def _track_top(cfg, table, free, block, sigma, right, left):
+    """Two-sided Rayleigh on the x_F = 0 sector `block` of `_sectors`, free
+    axes F (p_i = 0 or a flat dispersion row); returns (eig, right, left).
+    Vectors live in the mode basis of grid x levels: the x_F = 0 slice
+    projects, zero padding lifts."""
     full = (len(table.levels),) + (cfg.grid.points_per_axis,) * cfg.dim
     kept = [1 if j - 1 in free else n for j, n in enumerate(full)]
 
@@ -148,9 +149,8 @@ def _track_top(cfg, table, kinetic, sigma, right, left):
         pad = [(0, n - k) for n, k in zip(full, kept)]
         return np.pad(u.reshape(kept), pad).ravel()
 
-    eig, v, w = _two_sided_rayleigh(stack[0], sigma, project(right),
-                                    project(left))
-    return eig, lift(v), lift(w), stack
+    eig, v, w = _two_sided_rayleigh(block, sigma, project(right), project(left))
+    return eig, lift(v), lift(w)
 
 
 def perron_curve(cfg, table, p_list):
@@ -170,9 +170,11 @@ def perron_curve(cfg, table, p_list):
     prev_p = np.zeros(cfg.dim)
     for p in p_list:
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        kinetic = assemble_fiber(cfg, table, p, 0.0).kinetic
-        eig_new, right, left, stack = _track_top(cfg, table, kinetic, eig,
-                                                 right, left)
+        # unused, but pinned per p by perfbench/tests/test_spans.py (ROADMAP 1)
+        assemble_fiber(cfg, table, p, 0.0)
+        free, stack = _sectors(cfg, table, p)
+        eig_new, right, left = _track_top(cfg, table, free, stack[0], eig,
+                                          right, left)
         step = float(np.linalg.norm(p - prev_p))
         allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
@@ -248,8 +250,7 @@ def spectral_gaps(cfg, table=None):
 
     g_high = math.inf
     for p in p_large:
-        _, stack = _sectors(cfg, table,
-                            assemble_fiber(cfg, table, p, 0.0).kinetic)
+        _, stack = _sectors(cfg, table, p)
         top = float(np.linalg.eigvals(stack).real.max())
         g_high = min(g_high, -max(top, coh_max))
 
@@ -264,30 +265,23 @@ def _hessian_once(cfg, table, h, start):
     f = {}
 
     def at(vec):
-        key = tuple(np.round(np.asarray(vec) / h).astype(int))
+        key = tuple(np.round(vec / h).astype(int))
         if key not in f:
-            kinetic = assemble_fiber(cfg, table, np.asarray(vec, float),
-                                     0.0).kinetic
-            f[key] = _track_top(cfg, table, kinetic, 0.0, *start)[0]
+            free, stack = _sectors(cfg, table, vec, zero_only=True)
+            f[key] = _track_top(cfg, table, free, stack[0], 0.0, *start)[0]
         return f[key]
 
     center = at(np.zeros(d))
     grad = np.zeros(d)
     hess = np.zeros((d, d))
+    steps = h * np.eye(d)
     for i in range(d):
-        e_i = np.zeros(d)
-        e_i[i] = h
-        fp, fm = at(e_i), at(-e_i)
+        fp, fm = at(steps[i]), at(-steps[i])
         grad[i] = (fp - fm) / (2 * h)
         hess[i, i] = (fp + fm - 2 * center) / h ** 2
     for i in range(d):
         for j in range(i + 1, d):
-            e_ij = np.zeros(d)
-            e_ij[i] = h
-            e_ij[j] = h
-            e_im = np.zeros(d)
-            e_im[i] = h
-            e_im[j] = -h
+            e_ij, e_im = steps[i] + steps[j], steps[i] - steps[j]
             val = (at(e_ij) + at(-e_ij) - at(e_im) - at(-e_im)) / (4 * h ** 2)
             hess[i, j] = hess[j, i] = val
     return grad, hess

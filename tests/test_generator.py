@@ -190,7 +190,7 @@ def _assert_sectors_match_dense(cfg, table, p):
     """The sector stack of M(p) is the transformed dense fiber, and its
     stacked spectra are the dense spectrum, as multisets."""
     block = assemble_fiber(cfg, table, p, 0.0)
-    free, stack = _sectors(cfg, table, block.kinetic)
+    free, stack = _sectors(cfg, table, p)
     assert stack.dtype == np.float64
     scale = float(np.abs(block.matrix).max())
     assert np.abs(stack - _transformed_sectors(block, cfg, free)).max() \
@@ -227,6 +227,23 @@ def _flat_row_model():
     )
 
 
+def _aliased_model(coefficients, n_axis):
+    # harmonics m >= N/2 wrap around the grid's modes; m = N/2 lands both
+    # of its couplings on the same mode, where they cancel
+    dim = len(coefficients)
+    return ModelConfig(
+        dim=dim, dispersion=DispersionSpec("cosine_series",
+                                           coefficients=coefficients),
+        spin=SpinSystem(levels=(0.0, 1.0), couplings=((0, 1), (1, 0))),
+        beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=dim),
+        grid=GridSpec(points_per_axis=n_axis, sphere_nodes=8),
+    )
+
+
+_ALIASED_1D = ((1.0, -0.4, 0.3, 0.2, -0.1),)
+_ALIASED_2D = ((1.0, 0.5, -0.3, 0.2), (0.7, -0.2, 0.4, 0.1))
+
+
 @pytest.mark.parametrize("make,p,free", [
     (lambda: reference_1d(n_k=16), (0.3,), ()),
     (lambda: reference_1d(n_k=16), (math.pi,), ()),
@@ -237,8 +254,13 @@ def _flat_row_model():
     (_three_dimensional_model, (0.0, 0.4, 0.0), (0, 2)),
     (lambda: flat_dispersion_1d(n_k=16), (0.7,), (0,)),
     (_flat_row_model, (0.2, 0.4), (1,)),
+    (lambda: _aliased_model(_ALIASED_1D, 8), (0.3,), ()),
+    (lambda: _aliased_model(_ALIASED_1D, 8), (-math.pi,), ()),
+    (lambda: _aliased_model(_ALIASED_2D, 6), (0.3, -0.2), ()),
+    (lambda: _aliased_model(_ALIASED_2D, 6), (0.0, 0.4), (0,)),
 ], ids=["1d-small", "1d-pi", "2d-zero", "2d-axis", "2d-oblique", "3d-zero",
-        "3d-axis", "flat", "flat-row"])
+        "3d-axis", "flat", "flat-row", "1d-aliased", "1d-aliased-pi",
+        "2d-aliased", "2d-aliased-axis"])
 def test_sectors_match_dense_spectrum(make, p, free):
     cfg = make()
     table = build_rate_table(cfg)
@@ -252,9 +274,8 @@ def test_sectors_refuse_kernel_without_inversion_symmetry(p):
     cfg = reference_1d(n_k=16)
     table = dataclasses.replace(build_rate_table(cfg), nodes=(1.0,),
                                 weights=(2.0,))
-    block = assemble_fiber(cfg, table, np.array([p]), 0.0)
     with pytest.raises(NumericError, match="inversion symmetric"):
-        _sectors(cfg, table, block.kinetic)
+        _sectors(cfg, table, np.array([p]))
 
 
 def test_mode_blocks_deposited_once_and_shared_read_only(monkeypatch):

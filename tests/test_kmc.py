@@ -280,6 +280,15 @@ def test_reproducible_across_thread_counts(ref1d, ref1d_table, monkeypatch):
     assert np.array_equal(a.k_hist, b.k_hist)
 
 
+def test_probe_dimension_checked_before_any_walker_runs(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(kmc, "_simulate_block",
+                        lambda *args: blocks.append(args))
+    with pytest.raises(ValueError, match="2 components"):
+        run_ensemble(reference_2d(), 32768, 50.0, probes=[[0.05]])
+    assert blocks == []
+
+
 def test_seed_changes_results(ref1d, ref1d_table):
     other = reference_1d(seed=7)
     a = run_ensemble(ref1d, 2048, 10.0, table=ref1d_table)

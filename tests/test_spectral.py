@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from latticediff import spectral
 from latticediff.generator import (_grid_mode_blocks, assemble_fiber,
                                    build_rate_table)
 from latticediff.model import dispersion_grad
@@ -159,6 +161,54 @@ def test_hessian_matches_formula_to_roundoff_2d():
     formula = diffusion_tensor_formula(cfg, table)
     rel = np.max(np.abs(hess - formula)) / np.abs(formula).max()
     assert rel <= 1e-11
+
+
+def _spy(monkeypatch, name):
+    """Record the positional arguments and results of spectral.<name>."""
+    calls = []
+    func = getattr(spectral, name)
+
+    def spy(*args, **kwargs):
+        out = func(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(spectral, name, spy)
+    return calls
+
+
+def test_hessian_builds_only_zero_sectors_without_dense_fibers(ref2d,
+                                                                monkeypatch):
+    table = build_rate_table(ref2d)
+    fibers = _spy(monkeypatch, "assemble_fiber")
+    sectors = _spy(monkeypatch, "_sectors")
+    diffusion_tensor_hessian(ref2d, table)
+    assert fibers == []
+    # center, 2 axis pairs and 4 oblique points, at each of the two steps
+    assert len(sectors) == 18
+    assert all(len(stack) == 1 for _, (_, stack) in sectors)
+
+
+def test_gaps_assemble_dense_fibers_only_on_the_small_ray(ref2d, monkeypatch):
+    table = build_rate_table(ref2d)
+    fibers = _spy(monkeypatch, "assemble_fiber")
+    spectral_gaps(ref2d, table)
+    small = [0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5]
+    assert [args[2].tolist() for args, _ in fibers] == [[s, 0.0] for s in small]
+
+
+@pytest.mark.parametrize("dim,n_k", [(3, 8), (4, 4)], ids=["3d", "4d"])
+def test_hessian_matches_formula_beyond_two_dimensions(dim, n_k):
+    # d >= 3 is pinned at the roundoff floor of a second difference,
+    # eps * scale / h^2, not at the exact cancellations seen in 1-d and 2-d
+    base = reference_2d(n_k=n_k, m_dir=16)
+    cfg = dataclasses.replace(base, dim=dim, bath=dataclasses.replace(
+        base.bath, dim=dim))
+    table = build_rate_table(cfg)
+    hess = diffusion_tensor_hessian(cfg, table).tensor
+    formula = diffusion_tensor_formula(cfg, table)
+    rel = np.max(np.abs(hess - formula)) / np.abs(formula).max()
+    assert rel <= 1e-6
 
 
 def test_dual_method_agreement_two_dimensions(ref2d):
