@@ -141,6 +141,8 @@ def cmd_psi(args):
         raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = model_from_json(args.config)
     x = _parse_vector(args.x, cfg.dim)
+    fit = (check_subluminal_decay(cfg.bath, args.v_star, args.tmax)
+           if args.decay_check else None)
     times = np.linspace(0.0, args.tmax, args.points)
     samples = correlation_samples(cfg.bath, x, times)
     manifest = _manifest(cfg.config_hash(), "psi",
@@ -149,8 +151,7 @@ def cmd_psi(args):
                          cfg.rng_seed, [args.out])
     rows = [(s.t, s.value.real, s.value.imag) for s in samples]
     _write_csv(rows, ["t", "re", "im"], args.out, manifest["manifest_hash"])
-    if args.decay_check:
-        fit = check_subluminal_decay(cfg.bath, args.v_star, args.tmax)
+    if fit is not None:
         _write_json(fit.to_dict(), args.decay_check, manifest["manifest_hash"])
     _write_manifest(manifest, args.out, args.wall_time())
     return 0

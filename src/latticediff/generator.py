@@ -234,7 +234,7 @@ def _grid_mode_blocks(table, n_axis):
 
 
 def _sectors(cfg, table, p, zero_only=False):
-    """Free axes F of the population fiber M(p) and its sector blocks B(x_F).
+    """Sector blocks B(x_F) of the population fiber M(p) over its free axes F.
 
     An axis is free when p_i = 0 or its dispersion row is all zero: the
     gain is circulant, so M(p) is block-diagonal over the Fourier modes x_F
@@ -242,7 +242,7 @@ def _sectors(cfg, table, p, zero_only=False):
     A(x) on its diagonal and the kinetic term -i Delta eps as a stencil on
     every level: mode x' feeds x = x' +- m e_i (mod N) with weight -+w,
     w = (-1)^m c_im sin(m p_i / 2), where the (-1)^m comes from the grid
-    starting at k = -pi.  At real p the blocks are real.  Returns F and the
+    starting at k = -pi.  At real p the blocks are real.  Returns the
     float64 stack (N^|F|, L N^(d-|F|), L N^(d-|F|)), C order over x_F,
     level-major; `zero_only` builds the x_F = 0 sector alone.
     """
@@ -267,7 +267,7 @@ def _sectors(cfg, table, p, zero_only=False):
     stack[:, :, x, :, x] = np.moveaxis(blocks, 1, 0)
     lvl = np.arange(n_lvl)
     stack[:, lvl, :, lvl, :] += kinetic.reshape(n_rest, n_rest)
-    return free, stack.reshape(len(blocks), n_lvl * n_rest, n_lvl * n_rest)
+    return stack.reshape(len(blocks), n_lvl * n_rest, n_lvl * n_rest)
 
 
 @dataclass(frozen=True)

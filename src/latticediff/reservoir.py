@@ -393,6 +393,8 @@ def check_subluminal_decay(profile, v_star, t_max):
     """
     if not 0.0 < v_star < 1.0:
         raise ValueError("v_star must lie in (0, 1)")
+    if not t_max > 5.0:
+        raise ValueError(f"t_max must exceed 5, got {t_max}")
     times = np.linspace(5.0, t_max, 20)
     radii = [[round(f * v_star * t) for f in CONE_FRACTIONS] for t in times]
     sup = _sup_on_sets(profile, times, radii, profile.dim)
@@ -420,6 +422,8 @@ def check_subluminal_decay(profile, v_star, t_max):
 def fit_sup_power(profile, t_min, t_max):
     """Power-law fit of sup_x |psi(x, t)| ~ C (1 + t)^p over [t_min, t_max],
     at 18 geometrically spaced times."""
+    if not 0.0 < t_min < t_max:
+        raise ValueError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
     times = np.geomspace(t_min, t_max, 18)
     radius_lists = []
     for t in times:
@@ -459,6 +463,8 @@ def check_time_integrability(profile, t_max):
     on the upper part of the window; it is finite when the power is
     below -1.
     """
+    if not t_max > 5.0:
+        raise ValueError(f"t_max must exceed 5, got {t_max}")
     head_times = np.linspace(0.0, 5.0, 9)
     tail_times = np.geomspace(5.0, t_max, 24)[1:]
     times = np.concatenate([head_times, tail_times])

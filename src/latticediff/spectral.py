@@ -14,8 +14,9 @@ Gaps, spectra and the Hessian work per Fourier sector of each fiber's
 free axes, in the grid's Fourier-mode basis, where a fiber at real p is
 real: every eigensolve runs in float64, free axis or none.  The sectors
 come from `generator._sectors`, built from p and the shared mode blocks
-with the kinetic term as a closed-form stencil, never from a dense fiber;
-the tracked eigenvalue and the Hessian need only the x_F = 0 sector.
+with the kinetic term as a closed-form stencil, never from a dense fiber.
+The curve and the gaps read dense sector spectra; the Hessian (x_F = 0
+sector alone) and the stationary state use `_two_sided_rayleigh`.
 """
 
 import math
@@ -47,29 +48,15 @@ class FDInconsistencyError(NumericError):
 def stationary_state(m00, ansatz=None):
     """Kernel vector of the population generator, normalized to total mass 1.
 
-    Shifted inverse iteration: the shift sits a hair off zero so the
-    factorization is regular while the kernel component is amplified by
-    ~gap/shift per sweep.  Converges in two sweeps from any start that is
-    not orthogonal to the kernel; callers pass the Gibbs ansatz.
+    The right vector of `_two_sided_rayleigh` at shift 0, started from
+    `ansatz` (callers pass the Gibbs ansatz; ones by default) on the right
+    and ones, the exact left kernel of a Markov generator, on the left.
+    Raises TrackingLossError, a NumericError, if the iteration stalls.
     """
-    m00 = np.asarray(m00)
-    n = m00.shape[0]
-    scale = float(np.abs(m00).max())
-    shift = 1e-10 * scale
-    v = np.ones(n) if ansatz is None else np.asarray(ansatz, dtype=float).copy()
-    v /= np.abs(v).sum()
-    lu = lu_factor(m00.real - shift * np.eye(n))
-    for _ in range(8):
-        v = lu_solve(lu, v)
-        v /= np.abs(v).sum()
-        resid = float(np.abs(m00 @ v).max())
-        if resid <= 1e-12 * scale:
-            if v.sum() < 0:
-                v = -v
-            return v
-    raise ConvergenceError(
-        f"stationary state iteration stalled at residual {resid:.2e}"
-    )
+    ones = np.ones(len(m00))
+    v = _two_sided_rayleigh(np.real(m00), 0.0,
+                            ones if ansatz is None else ansatz, ones)[1]
+    return v / v.sum()
 
 
 def _two_sided_rayleigh(matrix, sigma0, v0, w0):
@@ -120,68 +107,45 @@ class FiberScanPoint:
     gap: float           # elevation of the tracked eigenvalue above the rest
 
 
-def _bulk_top(eigvals, tracked):
-    rest = eigvals[np.argsort(np.abs(eigvals - tracked))[1:]]
-    return float(rest.real.max()) if len(rest) else -math.inf
-
-
-def _start_vectors(cfg, table):
+def _start_vectors(table, block):
     """Right Gibbs x delta_{x=0}, left 1 x delta_{x=0}: the p = 0 kernel
-    pair in the level-major Fourier-mode basis."""
-    v = np.zeros((2, len(table.levels), cfg.grid.points_per_axis ** cfg.dim))
-    v[0, :, 0] = np.exp(-cfg.beta * np.asarray(table.levels))
+    pair in the level-major Fourier-mode basis of a sector `block`."""
+    v = np.zeros((2, len(table.levels), block.shape[0] // len(table.levels)))
+    v[0, :, 0] = np.exp(-table.beta * np.asarray(table.levels))
     v[1, :, 0] = 1.0
     return v.reshape(2, -1)
-
-
-def _track_top(cfg, table, free, block, sigma, right, left):
-    """Two-sided Rayleigh on the x_F = 0 sector `block` of `_sectors`, free
-    axes F (p_i = 0 or a flat dispersion row); returns (eig, right, left).
-    Vectors live in the mode basis of grid x levels: the x_F = 0 slice
-    projects, zero padding lifts."""
-    full = (len(table.levels),) + (cfg.grid.points_per_axis,) * cfg.dim
-    kept = [1 if j - 1 in free else n for j, n in enumerate(full)]
-
-    def project(v):
-        return np.reshape(v, full)[tuple(map(slice, kept))].ravel()
-
-    def lift(u):
-        pad = [(0, n - k) for n, k in zip(full, kept)]
-        return np.pad(u.reshape(kept), pad).ravel()
-
-    eig, v, w = _two_sided_rayleigh(block, sigma, project(right), project(left))
-    return eig, lift(v), lift(w)
 
 
 def perron_curve(cfg, table, p_list):
     """Track the top eigenvalue of the population fiber along a p path.
 
-    Starts from the exact zero mode at p = 0 and follows it by two-sided
-    Rayleigh iteration on the x_F = 0 sector; at every step the spectra of
-    all sectors are computed to measure the gap to the bulk.  Raises
-    TrackingLossError when the followed eigenvalue jumps by more than the
-    expected fiber derivative allows (branch collision).
+    At every p the dense spectra of all sectors are computed once; from the
+    zero mode at p = 0 on, the followed eigenvalue is the x_F = 0 sector's
+    one nearest the previous step, and the rest gives the gap to the bulk.
+    Raises TrackingLossError on a non-finite p, or when the followed
+    eigenvalue jumps more than the fiber derivative allows (branch collision).
     """
     eig = 0.0
-    right, left = _start_vectors(cfg, table)
     grad_scale = float(np.abs(dispersion_grad(
         cfg.dispersion, cfg.grid_points(), dim=cfg.dim)).max())
     points = []
     prev_p = np.zeros(cfg.dim)
     for p in p_list:
         p = np.atleast_1d(np.asarray(p, dtype=float))
+        if not np.all(np.isfinite(p)):
+            raise TrackingLossError(f"fiber momentum {p.tolist()} is not finite")
         # unused, but pinned per p by perfbench/tests/test_spans.py (ROADMAP 1)
         assemble_fiber(cfg, table, p, 0.0)
-        free, stack = _sectors(cfg, table, p)
-        eig_new, right, left = _track_top(cfg, table, free, stack[0], eig,
-                                          right, left)
+        eigs = np.linalg.eigvals(_sectors(cfg, table, p))
+        top = int(np.argmin(np.abs(eigs[0] - eig)))
+        eig_new = eigs[0, top]
         step = float(np.linalg.norm(p - prev_p))
         allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
             raise TrackingLossError(
                 f"eigenvalue moved {abs(eig_new - eig):.3e} over step {step:.3e}"
             )
-        bulk = _bulk_top(np.linalg.eigvals(stack).ravel(), eig_new)
+        bulk = float(np.delete(eigs, top).real.max())
         points.append(FiberScanPoint(
             p=tuple(p), eigenvalue=complex(eig_new), bulk_top=bulk,
             gap=float(eig_new.real - bulk),
@@ -250,8 +214,7 @@ def spectral_gaps(cfg, table=None):
 
     g_high = math.inf
     for p in p_large:
-        _, stack = _sectors(cfg, table, p)
-        top = float(np.linalg.eigvals(stack).real.max())
+        top = float(np.linalg.eigvals(_sectors(cfg, table, p)).real.max())
         g_high = min(g_high, -max(top, coh_max))
 
     return GapReport(
@@ -260,15 +223,16 @@ def spectral_gaps(cfg, table=None):
     )
 
 
-def _hessian_once(cfg, table, h, start):
+def _hessian_once(cfg, table, h):
     d = cfg.dim
     f = {}
 
     def at(vec):
         key = tuple(np.round(vec / h).astype(int))
         if key not in f:
-            free, stack = _sectors(cfg, table, vec, zero_only=True)
-            f[key] = _track_top(cfg, table, free, stack[0], 0.0, *start)[0]
+            block = _sectors(cfg, table, vec, zero_only=True)[0]
+            f[key] = _two_sided_rayleigh(block, 0.0,
+                                         *_start_vectors(table, block))[0]
         return f[key]
 
     center = at(np.zeros(d))
@@ -304,9 +268,8 @@ def diffusion_tensor_hessian(cfg, table=None):
     """
     if table is None:
         table = build_rate_table(cfg)
-    start = _start_vectors(cfg, table)
-    grad_h, hess_h = _hessian_once(cfg, table, 1e-3, start)
-    grad_2, hess_2 = _hessian_once(cfg, table, 1e-3 / 2, start)
+    grad_h, hess_h = _hessian_once(cfg, table, 1e-3)
+    grad_2, hess_2 = _hessian_once(cfg, table, 1e-3 / 2)
     d_h = -hess_h
     d_2 = -hess_2
     tensor = (4.0 * d_2 - d_h) / 3.0

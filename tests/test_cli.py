@@ -165,9 +165,11 @@ def test_simulate_bad_ensemble_exits_two(tmp_path, config_path, traj, tfinal):
     ["psi", "--tmax", "0", "--out", "psi.csv"],
     ["psi", "--tmax", "-5", "--out", "psi.csv"],
     ["psi", "--tmax", "5", "--points", "0", "--out", "psi.csv"],
+    ["psi", "--decay-check", "d.json", "--v-star", "1.5", "--out", "psi.csv"],
+    ["psi", "--tmax", "3", "--decay-check", "d.json", "--out", "psi.csv"],
 ], ids=["n-paths", "steps", "pmax", "dump-matrix", "psi-x", "probes",
         "psi-tmax-nan", "psi-tmax-inf", "psi-tmax-zero", "psi-tmax-negative",
-        "psi-points"])
+        "psi-points", "psi-v-star", "psi-decay-window"])
 def test_bad_cli_arguments_exit_two_without_output(
         tmp_path, config_path, monkeypatch, capsys, argv):
     from latticediff import cli

@@ -201,6 +201,20 @@ def test_cone_decay_rejects_bad_speed(bath4):
         check_subluminal_decay(bath4, 1.2, 10.0)
 
 
+@pytest.mark.parametrize("check,window", [
+    (lambda b, t: check_subluminal_decay(b, 0.5, t), [(3.0,), (5.0,)]),
+    (check_time_integrability, [(3.0,), (5.0,), (math.nan,)]),
+    (reservoir.fit_sup_power, [(5.0, 3.0), (0.0, 10.0), (5.0, 5.0),
+                               (math.nan, 10.0)]),
+], ids=["cone", "integrability", "sup-power"])
+def test_decay_fit_windows_outside_the_psi_range_refused(bath4, check, window):
+    # every fit samples [5, t_max] or [t_min, t_max], which must be a
+    # nonempty interval inside [0, t_max]
+    for args in window:
+        with pytest.raises(ValueError):
+            check(bath4, *args)
+
+
 def test_time_integrability_partial_and_tail(bath4):
     rep = check_time_integrability(bath4, 40.0)
     assert rep.passed

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latticediff import spectral
+from latticediff import generator, spectral
 from latticediff.generator import (_grid_mode_blocks, assemble_fiber,
                                    build_rate_table)
 from latticediff.model import dispersion_grad
@@ -186,7 +186,26 @@ def test_hessian_builds_only_zero_sectors_without_dense_fibers(ref2d,
     assert fibers == []
     # center, 2 axis pairs and 4 oblique points, at each of the two steps
     assert len(sectors) == 18
-    assert all(len(stack) == 1 for _, (_, stack) in sectors)
+    assert all(len(stack) == 1 for _, stack in sectors)
+
+
+@pytest.mark.parametrize("make,p", [
+    (lambda: reference_1d(n_k=16), (0.3,)),
+    (lambda: reference_2d(n_k=8), (0.3, 0.0)),
+    (lambda: reference_2d(n_k=8), (0.2, -0.1)),
+], ids=["1d-axis", "2d-axis", "2d-oblique"])
+def test_curve_matches_rayleigh_on_the_zero_sector(make, p, monkeypatch):
+    # the curve reads dense sector spectra alone; the two-sided Rayleigh
+    # iteration it replaced is the reference on the x_F = 0 sector
+    cfg = make()
+    table = build_rate_table(cfg)
+    rayleigh = _spy(monkeypatch, "_two_sided_rayleigh")
+    eig = perron_curve(cfg, table, [np.zeros(cfg.dim), p])[1].eigenvalue
+    assert rayleigh == []
+    block = generator._sectors(cfg, table, np.asarray(p))[0]
+    ref = spectral._two_sided_rayleigh(
+        block, 0.0, *spectral._start_vectors(table, block))[0]
+    assert abs(eig - ref) <= 1e-12 * np.abs(block).max()
 
 
 def test_gaps_assemble_dense_fibers_only_on_the_small_ray(ref2d, monkeypatch):
