@@ -145,10 +145,13 @@ def cmd_psi(args):
            if args.decay_check else None)
     times = np.linspace(0.0, args.tmax, args.points)
     samples = correlation_samples(cfg.bath, x, times)
-    manifest = _manifest(cfg.config_hash(), "psi",
-                         {"config": args.config, "x": args.x,
-                          "tmax": args.tmax, "points": args.points},
-                         cfg.rng_seed, [args.out])
+    flags = {"config": args.config, "x": args.x, "tmax": args.tmax,
+             "points": args.points}
+    if args.decay_check:
+        flags["v_star"] = args.v_star
+    outputs = [args.out] + ([args.decay_check] if args.decay_check else [])
+    manifest = _manifest(cfg.config_hash(), "psi", flags, cfg.rng_seed,
+                         outputs)
     rows = [(s.t, s.value.real, s.value.imag) for s in samples]
     _write_csv(rows, ["t", "re", "im"], args.out, manifest["manifest_hash"])
     if fit is not None:

@@ -15,7 +15,9 @@ the grid's Fourier-mode basis the p = 0 fiber is one small real level block
 A(x) per mode, also built once.  A fiber's spectral sectors come from p
 alone (`_sectors`): those blocks plus the kinetic term as a stencil that
 couples mode x to x +- m e_i by -+(-1)^m c_im sin(m p_i / 2); an axis with
-p_i = 0 or a flat dispersion row stays free.
+p_i = 0 or a flat dispersion row stays free.  With no free axis and odd
+harmonics only, the one sector also splits exactly into an even and an odd
+half under the signed inversion k -> pi - k (`_fold`).
 """
 
 import functools
@@ -268,6 +270,37 @@ def _sectors(cfg, table, p, zero_only=False):
     lvl = np.arange(n_lvl)
     stack[:, lvl, :, lvl, :] += kinetic.reshape(n_rest, n_rest)
     return stack.reshape(len(blocks), n_lvl * n_rest, n_lvl * n_rest)
+
+
+def _fold(cfg, table, p):
+    """`_sectors` of M(p) as the stacks to eigensolve, the tracked one first.
+
+    With no free axis and odd harmonics only, the one sector commutes with
+    the signed inversion k -> pi - k, (S v)(x) = (-1)^(sum x) v(-x) in the
+    mode basis (N is even): A(-x) = A(x), and an odd harmonic's stencil
+    flips sign under x -> -x and under (-1)^(sum x) alike.  It then splits
+    exactly into an even and an odd block: each orbit {x, -x} sums its
+    columns with the sign +-(-1)^(sum x) on its representative's rows, with
+    no 1/sqrt(2) basis.  The even block holds the p = 0 kernel
+    delta_{x=0} x Gibbs.  Returns [even[None], odd[None]], or [stack].
+    """
+    d, n_axis = cfg.dim, cfg.grid.points_per_axis
+    stack = _sectors(cfg, table, p)
+    if len(stack) > 1 or np.any(cfg.dispersion.per_axis(d)[:, 1::2]):
+        return [stack]
+    x = np.indices((n_axis,) * d).reshape(d, -1)
+    neg = np.ravel_multi_index(-x % n_axis, (n_axis,) * d)
+    sign = (-1.0) ** x.sum(axis=0)
+    idx = np.arange(neg.size)
+    shift = neg.size * np.arange(len(table.levels))[:, None]
+    halves = []
+    for parity in (1.0, -1.0):
+        rep = np.flatnonzero((idx < neg) | ((idx == neg) & (sign == parity)))
+        rows, cols = (shift + rep).ravel(), (shift + neg[rep]).ravel()
+        weight = np.tile(parity * sign[rep] * (rep < neg[rep]), len(shift))
+        halves.append((stack[0][np.ix_(rows, rows)]
+                       + weight * stack[0][np.ix_(rows, cols)])[None])
+    return halves
 
 
 @dataclass(frozen=True)

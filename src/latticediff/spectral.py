@@ -15,8 +15,10 @@ free axes, in the grid's Fourier-mode basis, where a fiber at real p is
 real: every eigensolve runs in float64, free axis or none.  The sectors
 come from `generator._sectors`, built from p and the shared mode blocks
 with the kinetic term as a closed-form stencil, never from a dense fiber.
-The curve and the gaps read dense sector spectra; the Hessian (x_F = 0
-sector alone) and the stationary state use `_two_sided_rayleigh`.
+The curve and the gaps read dense sector spectra; a fiber with no free
+axis and odd harmonics only is solved as the even and odd halves of its
+one sector under k -> pi - k (`generator._fold`).  The Hessian (x_F = 0
+sector alone, unfolded) and the stationary state use `_two_sided_rayleigh`.
 """
 
 import math
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .generator import (_grid_mode_blocks, _level_pair, _mode_blocks,
+from .generator import (_fold, _grid_mode_blocks, _level_pair, _mode_blocks,
                         _sectors, assemble_fiber, build_rate_table,
                         escape_rates)
 from .model import NumericError, dispersion_grad
@@ -34,7 +36,8 @@ from .sphere import plane_wave_average
 
 
 class ConvergenceError(NumericError):
-    """An iterative solve did not reach its tolerance within its budget."""
+    """The resolvent formula is not solvable: `diffusion_tensor_formula`
+    found a velocity row that is not orthogonal to the kernel."""
 
 
 class TrackingLossError(NumericError):
@@ -119,9 +122,10 @@ def _start_vectors(table, block):
 def perron_curve(cfg, table, p_list):
     """Track the top eigenvalue of the population fiber along a p path.
 
-    At every p the dense spectra of all sectors are computed once; from the
-    zero mode at p = 0 on, the followed eigenvalue is the x_F = 0 sector's
-    one nearest the previous step, and the rest gives the gap to the bulk.
+    At every p the dense spectra of all sectors (or of the two folded
+    halves) are computed once; from the zero mode at p = 0 on, the followed
+    eigenvalue is the x_F = 0 sector's (or the even half's) one nearest the
+    previous step, and the rest gives the gap to the bulk.
     Raises TrackingLossError on a non-finite p, or when the followed
     eigenvalue jumps more than the fiber derivative allows (branch collision).
     """
@@ -136,16 +140,17 @@ def perron_curve(cfg, table, p_list):
             raise TrackingLossError(f"fiber momentum {p.tolist()} is not finite")
         # unused, but pinned per p by perfbench/tests/test_spans.py (ROADMAP 1)
         assemble_fiber(cfg, table, p, 0.0)
-        eigs = np.linalg.eigvals(_sectors(cfg, table, p))
-        top = int(np.argmin(np.abs(eigs[0] - eig)))
-        eig_new = eigs[0, top]
+        eigs = [np.linalg.eigvals(s) for s in _fold(cfg, table, p)]
+        top = int(np.argmin(np.abs(eigs[0][0] - eig)))
+        eig_new = eigs[0][0, top]
         step = float(np.linalg.norm(p - prev_p))
         allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
             raise TrackingLossError(
                 f"eigenvalue moved {abs(eig_new - eig):.3e} over step {step:.3e}"
             )
-        bulk = float(np.delete(eigs, top).real.max())
+        bulk = float(np.delete(np.concatenate([e.ravel() for e in eigs]),
+                               top).real.max())
         points.append(FiberScanPoint(
             p=tuple(p), eigenvalue=complex(eig_new), bulk_top=bulk,
             gap=float(eig_new.real - bulk),
@@ -214,7 +219,8 @@ def spectral_gaps(cfg, table=None):
 
     g_high = math.inf
     for p in p_large:
-        top = float(np.linalg.eigvals(_sectors(cfg, table, p)).real.max())
+        top = max(float(np.linalg.eigvals(s).real.max())
+                  for s in _fold(cfg, table, p))
         g_high = min(g_high, -max(top, coh_max))
 
     return GapReport(

@@ -69,6 +69,25 @@ def test_psi_writes_csv_with_manifest(tmp_path, config_path):
     assert "wall_time_s" in manifest
 
 
+def test_psi_decay_check_enters_the_manifest(tmp_path, config_path):
+    manifests = []
+    for v_star in ("0.3", "0.5"):
+        run_dir = tmp_path / v_star
+        run_dir.mkdir()
+        decay = run_dir / "decay.json"
+        result = _run("psi", "--config", config_path, "--tmax", "20",
+                      "--points", "11", "--decay-check", str(decay),
+                      "--v-star", v_star, "--out", str(run_dir / "psi.csv"))
+        assert result.returncode == 0
+        manifest = json.loads((run_dir / "psi.manifest.json").read_text())
+        assert manifest["flags"]["v_star"] == float(v_star)
+        assert manifest["outputs"] == [str(run_dir / "psi.csv"), str(decay)]
+        assert json.loads(decay.read_text())["manifest_hash"] \
+            == manifest["manifest_hash"]
+        manifests.append(manifest)
+    assert manifests[0]["manifest_hash"] != manifests[1]["manifest_hash"]
+
+
 def test_rates_and_matrix_dump(tmp_path, config_path):
     out = tmp_path / "rates.json"
     mat = tmp_path / "matrix.csv"

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from latticediff import generator
-from latticediff.generator import (GeneratorError, _sectors, assemble_fiber,
-                                   build_rate_table, escape_rates,
-                                   gain_kernel_crosscheck)
+from latticediff.generator import (GeneratorError, _fold, _sectors,
+                                   assemble_fiber, build_rate_table,
+                                   escape_rates, gain_kernel_crosscheck)
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                NumericError, SpinSystem, validate_model)
 from latticediff.presets import flat_dispersion_1d, reference_1d, reference_2d
 from latticediff.reservoir import BathProfile
-from latticediff.spectral import diffusion_tensor_formula, perron_curve
+from latticediff.spectral import (_start_vectors, _two_sided_rayleigh,
+                                  diffusion_tensor_formula, perron_curve)
 
 
 def _tabulated_model(beta=1.0):
@@ -201,6 +202,16 @@ def _assert_sectors_match_dense(cfg, table, p, free):
     dist = np.abs(stacked[:, None] - dense[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-11 * scale
+    # with no free axis and odd harmonics only, the signed inversion splits
+    # the one sector into two halves that carry its spectrum
+    folded = _fold(cfg, table, p)
+    odd_only = not np.any(cfg.dispersion.per_axis(cfg.dim)[:, 1::2])
+    assert len(folded) == (2 if free == () and odd_only else 1)
+    halves = np.concatenate([np.linalg.eigvals(s).ravel() for s in folded])
+    assert halves.size == stacked.size
+    dist = np.abs(halves[:, None] - stacked[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * scale
     if not np.any(p):
         assert free == tuple(range(cfg.dim))
         blocks = generator._grid_mode_blocks(table, cfg.grid.points_per_axis)
@@ -242,6 +253,7 @@ def _aliased_model(coefficients, n_axis):
 
 _ALIASED_1D = ((1.0, -0.4, 0.3, 0.2, -0.1),)
 _ALIASED_2D = ((1.0, 0.5, -0.3, 0.2), (0.7, -0.2, 0.4, 0.1))
+_ALIASED_ODD = ((1.0, 0.0, 0.3, 0.0, -0.1),)
 
 
 @pytest.mark.parametrize("make,p,free", [
@@ -258,13 +270,33 @@ _ALIASED_2D = ((1.0, 0.5, -0.3, 0.2), (0.7, -0.2, 0.4, 0.1))
     (lambda: _aliased_model(_ALIASED_1D, 8), (-math.pi,), ()),
     (lambda: _aliased_model(_ALIASED_2D, 6), (0.3, -0.2), ()),
     (lambda: _aliased_model(_ALIASED_2D, 6), (0.0, 0.4), (0,)),
+    (lambda: _aliased_model(_ALIASED_ODD, 8), (0.3,), ()),
 ], ids=["1d-small", "1d-pi", "2d-zero", "2d-axis", "2d-oblique", "3d-zero",
         "3d-axis", "flat", "flat-row", "1d-aliased", "1d-aliased-pi",
-        "2d-aliased", "2d-aliased-axis"])
+        "2d-aliased", "2d-aliased-axis", "1d-aliased-odd"])
 def test_sectors_match_dense_spectrum(make, p, free):
     cfg = make()
     table = build_rate_table(cfg)
     _assert_sectors_match_dense(cfg, table, np.asarray(p), free)
+
+
+@pytest.mark.parametrize("make,p", [
+    (lambda: reference_1d(n_k=16), (0.3,)),
+    (lambda: reference_2d(n_k=8), (0.2, -0.1)),
+    (lambda: _aliased_model(_ALIASED_ODD, 8), (0.3,)),
+], ids=["1d", "2d-oblique", "1d-aliased-odd"])
+def test_fold_even_half_holds_the_tracked_eigenvalue(make, p):
+    cfg = make()
+    table = build_rate_table(cfg)
+    block = _sectors(cfg, table, np.asarray(p))[0]
+    even = _fold(cfg, table, np.asarray(p))[0]
+    # L (N^d + 2^d) / 2 rows: here every fixed mode x = -x has an even sum
+    n_modes = cfg.grid.points_per_axis ** cfg.dim
+    assert even.shape[1] == len(table.levels) * (n_modes + 2 ** cfg.dim) // 2
+    tracked = _two_sided_rayleigh(block, 0.0,
+                                  *_start_vectors(table, block))[0]
+    assert np.abs(np.linalg.eigvals(even[0]) - tracked).min() \
+        <= 1e-12 * np.abs(block).max()
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])

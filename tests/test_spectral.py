@@ -216,6 +216,26 @@ def test_gaps_assemble_dense_fibers_only_on_the_small_ray(ref2d, monkeypatch):
     assert [args[2].tolist() for args, _ in fibers] == [[s, 0.0] for s in small]
 
 
+def test_curve_and_gaps_eigensolve_folded_halves_in_1d(ref1d, ref1d_table,
+                                                        monkeypatch):
+    # at p != 0 a 1-d fiber has no free axis: its one sector of L N rows is
+    # solved as its even and odd halves under the signed inversion
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        sizes.append(np.shape(a)[-1])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    perron_curve(ref1d, ref1d_table, [[s] for s in np.linspace(0.0, 0.5, 4)])
+    spectral_gaps(ref1d, ref1d_table)
+    n_lvl, n_k = len(ref1d_table.levels), ref1d.grid.points_per_axis
+    # one stack at each p = 0, two halves at each of the 3 + 6 + 3 others
+    assert len(sizes) == 2 + 2 * (3 + 6 + 3)
+    assert max(sizes) == n_lvl * (n_k // 2 + 1)
+
+
 @pytest.mark.parametrize("dim,n_k", [(3, 8), (4, 4)], ids=["3d", "4d"])
 def test_hessian_matches_formula_beyond_two_dimensions(dim, n_k):
     # d >= 3 is pinned at the roundoff floor of a second difference,
