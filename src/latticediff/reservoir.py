@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .model import NumericError
 from .sphere import plane_wave_average, surface_area
@@ -143,6 +142,8 @@ class BathProfile:
 
 @lru_cache(maxsize=32)
 def _table_interp(omega, values):
+    # imported here: only a tabulated bath needs scipy.interpolate
+    from scipy.interpolate import PchipInterpolator
     return PchipInterpolator(np.asarray(omega), np.asarray(values), extrapolate=False)
 
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import latticediff
 
 
@@ -6,3 +9,12 @@ def test_every_export_resolves():
                if not hasattr(latticediff, name)]
     assert missing == []
     assert len(set(latticediff.__all__)) == len(latticediff.__all__)
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # only a tabulated bath interpolates; every other run skips the import
+    code = ("import sys, latticediff.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

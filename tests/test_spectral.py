@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticediff import generator, spectral
 from latticediff.generator import (_grid_mode_blocks, assemble_fiber,
                                    build_rate_table)
-from latticediff.model import dispersion_grad
+from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
+                               SpinSystem, dispersion_grad, validate_model)
 from latticediff.presets import reference_1d, reference_2d
+from latticediff.reservoir import BathProfile
 from latticediff.spectral import (TrackingLossError, coherence_top,
                                   diffusion_tensor_continuum,
                                   diffusion_tensor_formula,
@@ -177,16 +181,36 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def test_hessian_builds_only_zero_sectors_without_dense_fibers(ref2d,
-                                                                monkeypatch):
-    table = build_rate_table(ref2d)
+def _lifted(dim, n_k, m_dir=16):
+    """reference_2d's levels and bath on a d-dimensional lattice."""
+    base = reference_2d(n_k=n_k, m_dir=m_dir)
+    return dataclasses.replace(base, dim=dim, bath=dataclasses.replace(
+        base.bath, dim=dim))
+
+
+def _assert_hessian_sectors(cfg, monkeypatch):
+    """The Hessian builds the center and d axis pairs at each of its two
+    steps: x_F = 0 sectors of L rows, then L N rows, and no dense fiber."""
+    table = build_rate_table(cfg)
     fibers = _spy(monkeypatch, "assemble_fiber")
     sectors = _spy(monkeypatch, "_sectors")
-    diffusion_tensor_hessian(ref2d, table)
+    diffusion_tensor_hessian(cfg, table)
     assert fibers == []
-    # center, 2 axis pairs and 4 oblique points, at each of the two steps
-    assert len(sectors) == 18
-    assert all(len(stack) == 1 for _, stack in sectors)
+    n_lvl, n_k = len(table.levels), cfg.grid.points_per_axis
+    rows = [n_lvl] + [n_lvl * n_k] * (2 * cfg.dim)
+    assert [stack.shape for _, stack in sectors] == \
+        [(1, r, r) for r in rows] * 2
+
+
+def test_hessian_builds_only_zero_sectors_without_dense_fibers(ref2d,
+                                                                monkeypatch):
+    # center and 2 axis pairs, at each of the two steps: 10 sectors
+    _assert_hessian_sectors(ref2d, monkeypatch)
+
+
+def test_hessian_builds_only_axis_sectors_in_three_dimensions(monkeypatch):
+    # 14 sectors of at most L N rows; oblique points would add 24 of L N^2
+    _assert_hessian_sectors(_lifted(3, 8), monkeypatch)
 
 
 @pytest.mark.parametrize("make,p", [
@@ -236,18 +260,98 @@ def test_curve_and_gaps_eigensolve_folded_halves_in_1d(ref1d, ref1d_table,
     assert max(sizes) == n_lvl * (n_k // 2 + 1)
 
 
-@pytest.mark.parametrize("dim,n_k", [(3, 8), (4, 4)], ids=["3d", "4d"])
+@pytest.mark.parametrize("dim,n_k", [(3, 8), (4, 4), (3, 16), (4, 8)],
+                         ids=["3d", "4d", "3d-16", "4d-8"])
 def test_hessian_matches_formula_beyond_two_dimensions(dim, n_k):
     # d >= 3 is pinned at the roundoff floor of a second difference,
     # eps * scale / h^2, not at the exact cancellations seen in 1-d and 2-d
-    base = reference_2d(n_k=n_k, m_dir=16)
-    cfg = dataclasses.replace(base, dim=dim, bath=dataclasses.replace(
-        base.bath, dim=dim))
+    cfg = _lifted(dim, n_k)
     table = build_rate_table(cfg)
     hess = diffusion_tensor_hessian(cfg, table).tensor
     formula = diffusion_tensor_formula(cfg, table)
     rel = np.max(np.abs(hess - formula)) / np.abs(formula).max()
     assert rel <= 1e-6
+
+
+def _assert_reflection_symmetric(cfg, p):
+    """M(R_j p) is M(p) with the modes relabelled x_j -> -x_j (mod N) on
+    every level, for each axis j, and the two top eigenvalues agree:
+    lambda(p) is even in each p_j, as `_hessian_once` states."""
+    table = build_rate_table(cfg)
+    d, n_k = cfg.dim, cfg.grid.points_per_axis
+    block = generator._sectors(cfg, table, p)[0]
+    assert block.shape[0] == len(table.levels) * n_k ** d  # no free axis
+    scale = float(np.abs(block).max())
+    top = spectral._two_sided_rayleigh(
+        block, 0.0, *spectral._start_vectors(table, block))[0]
+    for j in range(d):
+        x = np.indices((n_k,) * d).reshape(d, -1)
+        x[j] = -x[j] % n_k
+        modes = np.ravel_multi_index(x, (n_k,) * d)
+        perm = (n_k ** d * np.arange(len(table.levels))[:, None]
+                + modes).ravel()
+        flipped = p.copy()
+        flipped[j] = -flipped[j]
+        mirror = generator._sectors(cfg, table, flipped)[0]
+        assert np.abs(mirror - block[np.ix_(perm, perm)]).max() \
+            <= 1e-13 * scale
+        mirror_top = spectral._two_sided_rayleigh(
+            mirror, 0.0, *spectral._start_vectors(table, mirror))[0]
+        assert abs(mirror_top - top) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("make,p", [
+    (lambda: reference_2d(m_dir=16), (0.3, -0.2)),
+    (lambda: reference_2d(m_dir=18), (0.3, -0.2)),
+    (lambda: _lifted(3, 8, m_dir=16), (0.3, -0.2, 0.45)),
+    (lambda: _lifted(3, 8, m_dir=30), (0.3, -0.2, 0.45)),
+], ids=["2d-m16", "2d-m18", "3d-m16", "3d-m30"])
+def test_fiber_is_reflection_symmetric_in_each_axis(make, p):
+    _assert_reflection_symmetric(make(), np.asarray(p))
+
+
+@st.composite
+def _cosine_models(draw):
+    """Random d = 2, 3 models with per-axis cosine-series rows and a p with
+    no free axis near the Hessian's steps."""
+    dim = draw(st.sampled_from([2, 3]))
+    n_lvl = draw(st.integers(2, 3))
+    gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=n_lvl - 1,
+                         max_size=n_lvl - 1))
+    # off-diagonal couplings of modulus >= 1/4 after scaling: a weaker one
+    # shrinks the gap until |p| ~ 1e-2 already meets the bulk
+    size = n_lvl * n_lvl
+    mod = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=size,
+                                 max_size=size)))
+    phase = np.array(draw(st.lists(st.floats(-math.pi, math.pi),
+                                   min_size=size, max_size=size)))
+    a = np.triu((mod * np.exp(1j * phase)).reshape(n_lvl, n_lvl), 1)
+    w = a + a.conj().T
+    w = w / max(1.0, float(np.linalg.norm(w, 2)))
+    rows = tuple(tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                     max_size=3))) for _ in range(dim))
+    beta = draw(st.floats(0.3, 3.0))
+    n_axis = draw(st.sampled_from([4, 6, 8] if dim == 2 else [4]))
+    cfg = ModelConfig(
+        dim=dim, dispersion=DispersionSpec("cosine_series", coefficients=rows),
+        spin=SpinSystem(levels=tuple(np.cumsum([0.0, *gaps])),
+                        couplings=tuple(map(tuple, w))),
+        beta=beta, bath=BathProfile("builtin_gaussian", beta=beta, dim=dim),
+        grid=GridSpec(points_per_axis=n_axis,
+                      sphere_nodes=draw(st.integers(4, 32))),
+    )
+    assume(validate_model(cfg).passed)  # rejects a flat axis row
+    p = np.array(draw(st.lists(st.floats(1e-3, 1e-2), min_size=dim,
+                               max_size=dim)))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                   min_size=dim, max_size=dim)))
+    return cfg, signs * p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cosine_models())
+def test_random_fibers_are_reflection_symmetric(model):
+    _assert_reflection_symmetric(*model)
 
 
 def test_dual_method_agreement_two_dimensions(ref2d):
