@@ -26,11 +26,11 @@ from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
                        diffusion_tensor_hessian, perron_curve, spectral_gaps,
                        stationary_state)
 from .kmc import EnsembleStats, run_ensemble
-from .diagrams import (Diagram, DiagramClass, check_lemma_bounds, classify,
-                       enumerate_pairings, integrate_unconstrained, mir_shape)
+from .diagrams import (DiagramClass, check_lemma_bounds, classify,
+                       enumerate_pairings, mir_shape)
 
 __all__ = [
-    "BathProfile", "CorrelationSample", "Diagram", "DiagramClass",
+    "BathProfile", "CorrelationSample", "DiagramClass",
     "DispersionSpec", "EnsembleStats", "GridSpec", "JumpRateTable",
     "ModelConfig", "SpinSystem",
     "ValidationError", "assemble_fiber", "build_rate_table",
@@ -40,7 +40,7 @@ __all__ = [
     "diffusion_tensor_hessian", "dispersion_eval", "dispersion_grad",
     "enumerate_pairings",
     "escape_rates", "gain_coefficient_position", "gain_coefficient_sphere",
-    "gain_kernel_crosscheck", "integrate_unconstrained", "lamb_shift",
+    "gain_kernel_crosscheck", "lamb_shift",
     "mir_shape", "model_from_json", "perron_curve", "psi_xt",
     "run_ensemble", "spectral_gaps", "stationary_state", "validate_model",
 ]

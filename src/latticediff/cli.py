@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -155,7 +156,7 @@ def cmd_psi(args):
     rows = [(s.t, s.value.real, s.value.imag) for s in samples]
     _write_csv(rows, ["t", "re", "im"], args.out, manifest["manifest_hash"])
     if fit is not None:
-        _write_json(fit.to_dict(), args.decay_check, manifest["manifest_hash"])
+        _write_json(asdict(fit), args.decay_check, manifest["manifest_hash"])
     _write_manifest(manifest, args.out, args.wall_time())
     return 0
 

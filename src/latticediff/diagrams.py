@@ -2,18 +2,19 @@
 
 A diagram is a set of n time pairs (u_i, v_i) in an interval, u_i < v_i,
 ordered by u.  Dropping everything but the relative order of the 2n times
-leaves a shape (an interleaving pattern); there are (2n-1)!! shapes.  A
-diagram is irreducible in an interval when the union of its pair intervals
-is connected and spans the whole interval, and minimally irreducible when
-no sub-diagram can be removed keeping that property: for each n there is
-exactly one such shape, with the times interleaved as
+leaves a shape (an interleaving pattern); there are (2n-1)!! shapes, and
+this module works on shapes only.  A shape is irreducible when the union
+of its pair intervals spans the whole interval without a gap, and
+minimally irreducible when no pair can be removed keeping that property:
+for each n there is exactly one such shape, with the times interleaved as
 u1 u2 v1 u3 v2 ... u_n v_{n-1} v_n.
 
 The weight of a diagram is the product of a kernel k over the pair lags,
 and the quantities bounded here are Laplace-type integrals of that weight
 over irreducible and minimally irreducible shapes, estimated by stratified
 Monte Carlo over the ordered time simplex with the two extreme times
-pinned to the interval ends.
+pinned to the interval ends.  Concrete times exist only inside that
+sampler.
 """
 
 import math
@@ -30,46 +31,6 @@ class DiagramError(Exception):
 
 class PreconditionError(NumericError):
     """Kernel norms violate the contraction conditions of the bounds."""
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Concrete diagram: time pairs plus optional per-endpoint labels."""
-
-    pairs: tuple                 # ((u_1, v_1), ..., (u_n, v_n))
-    labels: tuple = ()           # optional ((x, side), ...) per endpoint
-
-    def __post_init__(self):
-        pairs = tuple((float(u), float(v)) for u, v in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        times = [t for uv in pairs for t in uv]
-        if len(set(times)) != len(times):
-            raise DiagramError("diagram times must be pairwise distinct")
-        for u, v in pairs:
-            if not u < v:
-                raise DiagramError("each pair needs u < v")
-        starts = [u for u, _ in pairs]
-        if any(a >= b for a, b in zip(starts, starts[1:])):
-            raise DiagramError("pairs must be ordered by increasing u")
-
-    @property
-    def size(self):
-        return len(self.pairs)
-
-    def lags(self):
-        return tuple(v - u for u, v in self.pairs)
-
-    def is_long(self, tau):
-        return all(lag >= tau for lag in self.lags())
-
-    def is_short(self, tau):
-        return all(lag <= tau for lag in self.lags())
-
-    def shape(self):
-        times = sorted(t for uv in self.pairs for t in uv)
-        rank = {t: i for i, t in enumerate(times)}
-        return DiagramClass(pairs=tuple((rank[u], rank[v])
-                                        for u, v in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -125,45 +86,31 @@ def double_factorial_odd(n):
     return out
 
 
-def _connected(pairs):
-    """Union of index intervals [r, s] is a single interval."""
-    ordered = sorted(pairs)
-    end = ordered[0][1]
-    if ordered[0][0] != min(r for r, _ in ordered):
-        return False
-    for r, s in ordered[1:]:
-        if r > end:
+def _spans(pairs, last):
+    """The closed slot intervals [r, s] cover [0, last] with no gap."""
+    reach = 0
+    for r, s in sorted(pairs):
+        if r > reach:
             return False
-        end = max(end, s)
-    return True
+        reach = max(reach, s)
+    return reach == last
 
 
-def _spans_and_connected(pairs, lo_slot, hi_slot):
-    touches = (any(lo_slot in rs for rs in pairs)
-               and any(hi_slot in rs for rs in pairs))
-    return touches and _connected(pairs)
+def classify(dc):
+    """Classify a shape relative to the interval its extreme times span.
 
-
-def classify(dc, contains_endpoints=(True, True)):
-    """Classify a shape relative to its ambient interval.
-
-    `contains_endpoints` says whether the diagram's first and last times
-    sit exactly on the interval boundaries; a diagram that misses either
-    end cannot span the interval and is reducible relative to it.
-    Otherwise: irreducible when the pair intervals merge into one block,
-    and minimally irreducible when additionally removing any nonempty
-    subset of pairs destroys the spanning-irreducible property.
+    Irreducible when the closed pair intervals cover [0, 2n - 1] with no
+    gap, and minimally irreducible when additionally no pair can be
+    removed keeping that cover.  Removing one pair at a time suffices: if removing a set S of
+    pairs leaves a spanning cover, removing any one pair of S leaves a
+    superset of that cover, still inside [0, 2n - 1], which spans too.
     """
-    if not (contains_endpoints[0] and contains_endpoints[1]):
-        return "reducible"
     pairs = dc.pairs
-    if not _connected(pairs):
+    last = 2 * len(pairs) - 1
+    if not _spans(pairs, last):
         return "reducible"
-    n = len(pairs)
-    hi_slot = 2 * n - 1
-    for mask in range(1, (1 << n) - 1):
-        remaining = [pairs[i] for i in range(n) if not (mask >> i) & 1]
-        if _spans_and_connected(remaining, 0, hi_slot):
+    for i in range(len(pairs)):
+        if _spans(pairs[:i] + pairs[i + 1:], last):
             return "irreducible"
     return "minimally_irreducible"
 
@@ -225,37 +172,6 @@ def kernel_norms(k, a):
         "exp_shift_weighted": ek_shift,
         "t_exp_shift_weighted": tek_shift,
     }
-
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    value: float
-    sigma: float
-    per_size: dict
-
-
-def integrate_unconstrained(k, t, n_max, mc_samples, seed=0):
-    """Monte Carlo estimate of the unconstrained diagram sum up to n_max.
-
-    Integrates prod k(v_i - u_i) over ordered u in [0, t] and free
-    v_i in (u_i, t], summed over sizes 1 .. n_max; the exact sum over all
-    sizes is bounded by exp(t ||k||_1) - 1.
-    """
-    per_size = {}
-    total, var = 0.0, 0.0
-    for n in range(1, n_max + 1):
-        rng = np.random.default_rng([seed, 7, n])
-        m = max(16, mc_samples // n_max)
-        u = np.sort(rng.random((m, n)) * t, axis=1)
-        v = u + (t - u) * rng.random((m, n))
-        weight = (t ** n / math.factorial(n)) * np.prod(t - u, axis=1)
-        vals = weight * np.prod(k(v - u), axis=1)
-        est = float(vals.mean())
-        sig = float(vals.std(ddof=1) / math.sqrt(m))
-        per_size[n] = (est, sig)
-        total += est
-        var += sig ** 2
-    return IntegralEstimate(value=total, sigma=math.sqrt(var), per_size=per_size)
 
 
 def _laplace_t_cutoff(k, a):

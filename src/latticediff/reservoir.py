@@ -349,17 +349,6 @@ class DecayFit:
     r_squared: float
     passed: bool
     warning: str
-    times: tuple
-    sup_values: tuple
-
-    def to_dict(self):
-        return {
-            "v_star": self.v_star,
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "passed": self.passed,
-            "warning": self.warning,
-        }
 
 
 # Fractions of the cone radius v* t sampled at each time by the decay check.
@@ -416,8 +405,20 @@ def check_subluminal_decay(profile, v_star, t_max):
     return DecayFit(
         v_star=v_star, rate=rate, r_squared=r2,
         passed=bool(rate > 0 and r2 >= 0.95), warning=warning,
-        times=tuple(tt), sup_values=tuple(np.exp(yy)),
     )
+
+
+def _power_fit(times, sup):
+    """Least-squares line of log sup against log(1 + t): the power, the
+    amplitude, and the mask of samples above underflow that it used."""
+    keep = sup > 1e-290
+    if keep.sum() < 5:
+        raise FitError("sup samples underflow: not enough points to fit")
+    logt = np.log1p(times[keep])
+    logy = np.log(sup[keep])
+    design = np.column_stack([np.ones_like(logt), logt])
+    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
+    return float(coef[1]), float(np.exp(coef[0])), keep
 
 
 def fit_sup_power(profile, t_min, t_max):
@@ -432,15 +433,7 @@ def fit_sup_power(profile, t_min, t_max):
         inner = {0, int(round(0.25 * t)), int(round(0.5 * t)), int(round(0.75 * t))}
         radius_lists.append([r for r in near_cone | inner if r >= 0])
     sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
-    keep = sup > 1e-290
-    if keep.sum() < 5:
-        raise FitError("sup samples underflow: not enough points to fit")
-    logt = np.log1p(times[keep])
-    logy = np.log(sup[keep])
-    design = np.column_stack([np.ones_like(logt), logt])
-    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-    power = float(coef[1])
-    amplitude = float(np.exp(coef[0]))
+    power, amplitude, keep = _power_fit(times, sup)
     return power, amplitude, times[keep], sup[keep]
 
 
@@ -452,17 +445,13 @@ class IntegrabilityReport:
     tail_power: float
     passed: bool
 
-    @property
-    def total(self):
-        return self.partial_integral + self.tail_estimate
-
 
 def check_time_integrability(profile, t_max):
     """Integrate sup_x |psi(x, t)| on [0, t_max] and estimate the tail.
 
-    The tail beyond t_max uses the fitted power law of `fit_sup_power`
-    on the upper part of the window; it is finite when the power is
-    below -1.
+    The tail beyond t_max uses the power law of `fit_sup_power`, fitted
+    to the same samples at t >= max(5, t_max / 8); it is finite when the
+    power is below -1.
     """
     if not t_max > 5.0:
         raise ValueError(f"t_max must exceed 5, got {t_max}")
@@ -476,7 +465,8 @@ def check_time_integrability(profile, t_max):
         radius_lists.append([r for r in radii if r >= 0])
     sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
     partial = float(np.trapezoid(sup, times))
-    power, amplitude, _, _ = fit_sup_power(profile, max(5.0, t_max / 8.0), t_max)
+    upper = times >= max(5.0, t_max / 8.0)
+    power, amplitude, _ = _power_fit(times[upper], sup[upper])
     if power < -1.0:
         tail = amplitude * (1.0 + t_max) ** (power + 1.0) / (-(power + 1.0))
     else:

@@ -1,15 +1,9 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.integrate import dblquad
 
-from latticediff.diagrams import (Diagram, DiagramClass, DiagramError,
-                                  PreconditionError, check_lemma_bounds,
-                                  classify, double_factorial_odd,
-                                  enumerate_pairings, integrate_unconstrained,
+from latticediff.diagrams import (DiagramError, PreconditionError,
+                                  check_lemma_bounds, classify,
+                                  double_factorial_odd, enumerate_pairings,
                                   kernel_norms, mir_shape)
 
 
@@ -30,12 +24,6 @@ def test_three_shapes_at_two_pairs():
     assert shapes[((0, 3), (1, 2))] == "irreducible"
 
 
-def test_endpoint_flags_disqualify_spanning():
-    dc = DiagramClass(pairs=((0, 2), (1, 3)))
-    assert classify(dc, contains_endpoints=(False, True)) == "reducible"
-    assert classify(dc, contains_endpoints=(True, False)) == "reducible"
-
-
 def _brute_force_irreducible(dc):
     """Independent connectivity check working directly on slot coverage."""
     n = dc.size
@@ -43,6 +31,37 @@ def _brute_force_irreducible(dc):
     for r, s in dc.pairs:
         covered.update(range(r, s))
     return covered == set(range(2 * n - 1))
+
+
+def _brute_force_class(dc):
+    """Reference rule: reducible unless the pair intervals form one block;
+    minimally irreducible unless removing some proper nonempty subset of
+    pairs leaves a block that still touches both end slots."""
+
+    def block(pairs):
+        ordered = sorted(pairs)
+        end = ordered[0][1]
+        for r, s in ordered[1:]:
+            if r > end:
+                return False
+            end = max(end, s)
+        return True
+
+    pairs, n = dc.pairs, dc.size
+    if not block(pairs):
+        return "reducible"
+    for mask in range(1, (1 << n) - 1):
+        rest = [pairs[i] for i in range(n) if not (mask >> i) & 1]
+        slots = {i for rs in rest for i in rs}
+        if 0 in slots and 2 * n - 1 in slots and block(rest):
+            return "irreducible"
+    return "minimally_irreducible"
+
+
+def test_classify_matches_subset_rule():
+    for n in range(1, 7):
+        for dc in enumerate_pairings(n):
+            assert classify(dc) == _brute_force_class(dc), dc.pairs
 
 
 def test_irreducible_counts_regression():
@@ -62,73 +81,6 @@ def test_unique_minimally_irreducible_shape_per_size():
         mirs = [dc for dc in enumerate_pairings(n)
                 if classify(dc) == "minimally_irreducible"]
         assert mirs == [mir_shape(n)]
-
-
-def test_diagram_validation():
-    with pytest.raises(DiagramError):
-        Diagram(pairs=((0.5, 0.2),))
-    with pytest.raises(DiagramError):
-        Diagram(pairs=((0.1, 0.5), (0.05, 0.6)))
-    with pytest.raises(DiagramError):
-        Diagram(pairs=((0.1, 0.5), (0.5, 0.9)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(0.1, 50.0), st.floats(0.0, 10.0))
-def test_classification_invariant_under_time_rescaling(scale, shift):
-    diagram = Diagram(pairs=((0.0, 0.37), (0.21, 0.81), (0.5, 1.0)))
-    moved = Diagram(pairs=tuple((scale * u + shift, scale * v + shift)
-                                for u, v in diagram.pairs))
-    assert diagram.shape() == moved.shape()
-    assert classify(diagram.shape()) == classify(moved.shape())
-
-
-def test_long_short_predicates():
-    diagram = Diagram(pairs=((0.0, 2.0), (1.0, 4.0)))
-    assert diagram.is_long(1.0)
-    assert not diagram.is_long(2.5)
-    assert diagram.is_short(3.5)
-    assert not diagram.is_short(1.5)
-
-
-K = staticmethod(lambda t: 0.1 * np.exp(-t))
-
-
-def test_unconstrained_first_term_matches_quadrature():
-    t = 5.0
-    est = integrate_unconstrained(lambda u: 0.1 * np.exp(-u), t, 1, 200000,
-                                  seed=21)
-    exact, _ = dblquad(lambda v, u: 0.1 * math.exp(-(v - u)),
-                       0.0, t, lambda u: u, lambda u: t)
-    mc, sigma = est.per_size[1]
-    assert abs(mc - exact) <= 4.0 * sigma
-
-
-def test_unconstrained_zero_kernel():
-    est = integrate_unconstrained(lambda u: 0.0 * u, 4.0, 3, 2000, seed=1)
-    assert est.value == 0.0
-
-
-def test_unconstrained_respects_exponential_bound():
-    t, c = 5.0, 0.1
-    est = integrate_unconstrained(lambda u: c * np.exp(-u), t, 4, 100000,
-                                  seed=5)
-    k_l1 = c * (1.0 - math.exp(-t))
-    bound = math.exp(t * k_l1) - 1.0
-    assert est.value <= bound + 3.0 * est.sigma
-
-
-def test_monte_carlo_error_scales_as_inverse_root():
-    kernel = lambda u: 0.3 * np.exp(-u)
-    reference = integrate_unconstrained(kernel, 4.0, 2, 400000, seed=2024).value
-    sizes = (200, 1600, 12800)
-    rms = []
-    for m in sizes:
-        devs = [integrate_unconstrained(kernel, 4.0, 2, m, seed=s).value
-                - reference for s in range(40)]
-        rms.append(math.sqrt(np.mean(np.square(devs))))
-    slope = np.polyfit(np.log(sizes), np.log(rms), 1)[0]
-    assert -0.70 < slope < -0.30
 
 
 def test_kernel_norms_closed_forms():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                SpinSystem, ValidationError, dispersion_eval,
                                dispersion_grad, ensure_valid, validate_model)
+from latticediff import presets
 from latticediff.presets import reference_1d
 from latticediff.reservoir import BathProfile
 
@@ -138,11 +142,17 @@ def test_config_hash_stable_and_sensitive(ref1d):
 
 
 def test_json_roundtrip(tmp_path, ref1d):
-    import json
-
     from latticediff.model import model_from_json
 
     path = tmp_path / "model.json"
     path.write_text(json.dumps(ref1d.to_dict()))
     loaded = model_from_json(path)
     assert loaded.config_hash() == ref1d.config_hash()
+
+
+@pytest.mark.parametrize("name", ["reference_1d", "reference_2d"])
+def test_reference_configs_match_presets(name):
+    # the CLI and the benchmark read these files; the tests build the presets
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    preset = getattr(presets, name)().to_dict()
+    assert json.loads(path.read_text()) == json.loads(json.dumps(preset))
