@@ -58,6 +58,16 @@ class _Process:
             out += (coeffs[:, m - 1] * m) * np.sin(m * k)
         return out
 
+    def velocity_1d(self, z):
+        """`velocity` in d = 1 from z = exp(i k), by the recurrence
+        sin((m + 1) k) = 2 cos k sin(m k) - sin((m - 1) k)."""
+        coeffs, cos_k = self._coeffs[0], z.real
+        out, prev, sin_mk = coeffs[0] * z.imag, 0.0, z.imag
+        for m in range(2, len(coeffs) + 1):
+            prev, sin_mk = sin_mk, 2.0 * cos_k * sin_mk - prev
+            out += (coeffs[m - 1] * m) * sin_mk
+        return out
+
 
 @dataclass
 class _BlockStats:
@@ -100,11 +110,18 @@ def _rounds(proc, rng, x, k, e, t_rem):
     The loop lives in this generator, so each round's temporaries stay
     allocated until the next round replaces them: freeing them between
     rounds made the allocator return and re-fault the pages, ~20 % slower.
+
+    In d = 1 the kick takes finitely many values, so z = cos k + i sin k
+    is rotated by a table of exp(i |de|) and the loop calls no trig; k is
+    still kicked, so the stream, the events and k are unchanged.
     """
     n, d = x.shape
     n_lvl = len(proc.levels)
     two_level = n_lvl == 2
     radius = proc.radius.ravel()
+    if d == 1:
+        z = np.cos(k[:, 0]) + 1j * np.sin(k[:, 0])
+        turn = np.cos(radius) + 1j * np.sin(radius)
     while t_rem.any():
         dt = rng.exponential(size=n)
         u_level = None if two_level else rng.random(n)
@@ -117,16 +134,22 @@ def _rounds(proc, rng, x, k, e, t_rem):
         jump = dt < t_rem
         # fmin, not minimum: a zero-rate level's wait 0 * inf is NaN
         fly = np.fmin(dt, t_rem, out=dt)
-        x += proc.velocity(k) * fly[:, None]
+        v = proc.velocity_1d(z)[:, None] if d == 1 else proc.velocity(k)
+        x += v * fly[:, None]
         t_rem -= fly
         if two_level:
             e_new = e ^ jump
         else:
             e_new = (u_level[:, None] > proc.cum_prob[e]).sum(axis=1)
             e_new = np.where(jump, e_new.clip(0, n_lvl - 1), e)
-        kick = radius.take(e * n_lvl + e_new)
+        pair = e * n_lvl + e_new
+        kick = radius.take(pair)
         if d == 1:
             k[:, 0] += np.copysign(kick, s, out=kick)
+            # a walker that does not jump turns by 1 +- 0i: z stays bit for bit
+            turn_t = turn.take(pair)
+            np.copysign(turn_t.imag, s, out=turn_t.imag)
+            z *= turn_t
         else:
             k += kick[:, None] * s
         e[:] = e_new

@@ -22,9 +22,10 @@ def _single_level_model():
     )
 
 
-def _three_level_model(couplings):
+def _three_level_model(couplings,
+                       dispersion=DispersionSpec("nearest_neighbor")):
     return ModelConfig(
-        dim=1, dispersion=DispersionSpec("nearest_neighbor"),
+        dim=1, dispersion=dispersion,
         spin=SpinSystem(levels=(0.0, 0.7, 1.9), couplings=couplings),
         beta=1.0, bath=BathProfile("builtin_gaussian", beta=1.0, dim=1),
         grid=GridSpec(points_per_axis=16, sphere_nodes=2),
@@ -71,18 +72,23 @@ STREAM_MODELS = {
     "three_level": lambda: _three_level_model(
         ((0, 0.5, 0.5), (0.5, 0, 0.5), (0.5, 0.5, 0))),
     "single_level": _single_level_model,
+    # three harmonics: the velocity takes the sin(m k) recurrence
+    "cosine_series": lambda: _three_level_model(
+        ((0, 0.5, 0.5), (0.5, 0, 0.5), (0.5, 0.5, 0)),
+        DispersionSpec("cosine_series", (1.0, 0.3, -0.1))),
     # the middle level is coupled to nothing: its escape rate is zero
     "zero_rate_level": lambda: _three_level_model(
         ((0, 0, 1), (0, 0, 0), (1, 0, 0))),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
-def test_rounds_consume_the_reference_stream(name):
-    cfg = STREAM_MODELS[name]()
+def _against_reference(cfg, n, t_final, stream):
+    """Run `kmc._rounds` and `_reference_rounds` on two copies of one
+    Philox stream.  Events, levels and the final stream state must agree
+    bitwise, x and the wrapped k to 1e-12; returns (levels, rounds)."""
     proc = kmc._Process(build_rate_table(cfg))
-    rngs = [kmc._philox(cfg.rng_seed, 5) for _ in range(2)]
-    new, ref = [kmc._start(proc, rng, 1024, 30.0) for rng in rngs]
+    rngs = [kmc._philox(cfg.rng_seed, stream) for _ in range(2)]
+    new, ref = [kmc._start(proc, rng, n, t_final) for rng in rngs]
     x, k, e, t_rem = new
     x0, k0, e0, t_rem0 = ref
     rounds = 0
@@ -94,13 +100,26 @@ def test_rounds_consume_the_reference_stream(name):
         assert np.array_equal(t_rem, t_rem0)
         assert np.array_equal(e, e0)
         rounds += 1
-    assert rounds >= (1 if name == "single_level" else 50)
     np.testing.assert_equal(rngs[0].bit_generator.state,
                             rngs[1].bit_generator.state)
     assert np.abs(x - x0).max() <= 1e-12 * np.abs(x0).max()
     assert np.abs(_wrap(k - k0)).max() <= 1e-12 * max(np.abs(k).max(), math.pi)
+    return e, rounds
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
+def test_rounds_consume_the_reference_stream(name):
+    e, rounds = _against_reference(STREAM_MODELS[name](), 1024, 30.0, 5)
+    assert rounds >= (1 if name == "single_level" else 50)
     if name == "zero_rate_level":
         assert np.count_nonzero(e == 1) > 0
+
+
+def test_rotated_momentum_holds_to_the_criterion_6_horizon(ref1d):
+    # criterion 6 runs to t_final = 200 / g_low = 1921: the 1-d exp(i k)
+    # is rotated ~16 000 times without a re-sync
+    _, rounds = _against_reference(ref1d, 256, 1921.0, 6)
+    assert rounds >= 15000
 
 
 def _paths(rows):
