@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 from .model import (DispersionSpec, GridSpec, ModelConfig, SpinSystem,
                     ValidationError, dispersion_eval, dispersion_grad,
                     model_from_json, validate_model)
-from .reservoir import (BathProfile, CorrelationSample,
-                        check_subluminal_decay, check_time_integrability,
-                        correlation_samples, gain_coefficient_position,
+from .reservoir import (BathProfile, check_subluminal_decay,
+                        check_time_integrability, gain_coefficient_position,
                         gain_coefficient_sphere, lamb_shift, psi_xt)
 from .generator import (JumpRateTable, assemble_fiber, build_rate_table,
                         escape_rates, gain_kernel_crosscheck)
@@ -30,12 +29,12 @@ from .diagrams import (DiagramClass, check_lemma_bounds, classify,
                        enumerate_pairings, mir_shape)
 
 __all__ = [
-    "BathProfile", "CorrelationSample", "DiagramClass",
+    "BathProfile", "DiagramClass",
     "DispersionSpec", "EnsembleStats", "GridSpec", "JumpRateTable",
     "ModelConfig", "SpinSystem",
     "ValidationError", "assemble_fiber", "build_rate_table",
     "check_lemma_bounds", "check_subluminal_decay",
-    "check_time_integrability", "classify", "correlation_samples",
+    "check_time_integrability", "classify",
     "diffusion_tensor_continuum", "diffusion_tensor_formula",
     "diffusion_tensor_hessian", "dispersion_eval", "dispersion_grad",
     "enumerate_pairings",

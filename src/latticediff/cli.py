@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from .model import (NumericError, ValidationError, ensure_valid,
                     model_from_json, validate_model)
-from .reservoir import check_subluminal_decay, correlation_samples
+from .reservoir import check_subluminal_decay, psi_xt_batch
 from .generator import assemble_fiber, build_rate_table, escape_rates
 from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
                        diffusion_tensor_hessian, perron_curve, spectral_gaps)
@@ -145,7 +145,8 @@ def cmd_psi(args):
     fit = (check_subluminal_decay(cfg.bath, args.v_star, args.tmax)
            if args.decay_check else None)
     times = np.linspace(0.0, args.tmax, args.points)
-    samples = correlation_samples(cfg.bath, x, times)
+    values = psi_xt_batch(cfg.bath, np.tile(x, (len(times), 1)), times,
+                          check=False)
     flags = {"config": args.config, "x": args.x, "tmax": args.tmax,
              "points": args.points}
     if args.decay_check:
@@ -153,7 +154,8 @@ def cmd_psi(args):
     outputs = [args.out] + ([args.decay_check] if args.decay_check else [])
     manifest = _manifest(cfg.config_hash(), "psi", flags, cfg.rng_seed,
                          outputs)
-    rows = [(s.t, s.value.real, s.value.imag) for s in samples]
+    rows = [(float(t), float(v.real), float(v.imag))
+            for t, v in zip(times, values)]
     _write_csv(rows, ["t", "re", "im"], args.out, manifest["manifest_hash"])
     if fit is not None:
         _write_json(asdict(fit), args.decay_check, manifest["manifest_hash"])

@@ -15,9 +15,9 @@ the grid's Fourier-mode basis the p = 0 fiber is one small real level block
 A(x) per mode, also built once.  A fiber's spectral sectors come from p
 alone (`_sectors`): those blocks plus the kinetic term as a stencil that
 couples mode x to x +- m e_i by -+(-1)^m c_im sin(m p_i / 2); an axis with
-p_i = 0 or a flat dispersion row stays free.  With no free axis and odd
-harmonics only, the one sector also splits exactly into an even and an odd
-half under the signed inversion k -> pi - k (`_fold`).
+p_i = 0 or a flat dispersion row stays free.  With odd harmonics only,
+every sector also splits exactly into an even and an odd half under the
+signed inversion of its non-free axes, k_R -> pi - k_R (`_fold`).
 """
 
 import functools
@@ -220,39 +220,52 @@ def _mode_blocks(table, kernel_hat):
 @functools.lru_cache(maxsize=4)
 def _grid_mode_blocks(table, n_axis):
     """`_mode_blocks` on the N^d grid, C order over the modes: kernel
-    transforms by FFT, shared read-only like `_population_gain`."""
+    transforms by FFT, shared read-only like `_population_gain`, each even
+    in every axis (so real, and foldable by `_fold`) to 64 eps k_hat(0)
+    per grid step of the kick, the size of the offsets deposition rounds."""
     def kernel_hat(radius):
         k_hat = np.fft.fftn(_deposit_kernel(
             radius, table.node_array, table.weight_array, n_axis,
-            table.dim)).ravel()
-        if np.abs(k_hat.imag).max() > 64 * np.finfo(float).eps * k_hat[0].real:
-            raise NumericError("fiber is not real in the Fourier-mode basis: "
-                               "a deposition kernel is not inversion symmetric")
-        return k_hat.real
+            table.dim))
+        neg = -np.arange(n_axis) % n_axis
+        defect = max(np.abs(k_hat - k_hat.take(neg, axis=i)).max()
+                     for i in range(table.dim))
+        steps = max(1.0, radius * n_axis / (2.0 * math.pi))
+        if defect > 64 * np.finfo(float).eps * k_hat.flat[0].real * steps:
+            raise NumericError("a deposition kernel is not even in each "
+                               "axis, so not inversion symmetric")
+        return k_hat.real.ravel()
 
     blocks = _mode_blocks(table, kernel_hat)
     blocks.flags.writeable = False
     return blocks
 
 
+def _split_axes(cfg, p):
+    """Free axes F of M(p), where p_i = 0 or the dispersion row is flat,
+    and the rest R."""
+    axes = np.arange(cfg.dim)
+    rest = (np.asarray(p) != 0) & np.any(cfg.dispersion.per_axis(cfg.dim), 1)
+    return tuple(axes[~rest].tolist()), tuple(axes[rest].tolist())
+
+
 def _sectors(cfg, table, p, zero_only=False):
     """Sector blocks B(x_F) of the population fiber M(p) over its free axes F.
 
-    An axis is free when p_i = 0 or its dispersion row is all zero: the
-    gain is circulant, so M(p) is block-diagonal over the Fourier modes x_F
-    of the free axes.  A block, in the mode basis of the other axes, holds
-    A(x) on its diagonal and the kinetic term -i Delta eps as a stencil on
-    every level: mode x' feeds x = x' +- m e_i (mod N) with weight -+w,
-    w = (-1)^m c_im sin(m p_i / 2), where the (-1)^m comes from the grid
-    starting at k = -pi.  At real p the blocks are real.  Returns the
-    float64 stack (N^|F|, L N^(d-|F|), L N^(d-|F|)), C order over x_F,
-    level-major; `zero_only` builds the x_F = 0 sector alone.
+    The gain is circulant, so M(p) is block-diagonal over the Fourier modes
+    x_F of the free axes (`_split_axes`).  A block, in the mode basis of
+    the rest R, holds A(x) on its diagonal and the kinetic term
+    -i Delta eps as a stencil on every level: mode x' feeds
+    x = x' +- m e_i (mod N) with weight -+w, w = (-1)^m c_im sin(m p_i / 2),
+    where the (-1)^m comes from the grid starting at k = -pi.  At real p
+    the blocks are real.  Returns the float64 stack
+    (N^|F|, L N^|R|, L N^|R|), C order over x_F and x_R, level-major;
+    `zero_only` builds the x_F = 0 sector alone.
     """
     d, n_axis = cfg.dim, cfg.grid.points_per_axis
     n_lvl = len(table.levels)
     coeffs = cfg.dispersion.per_axis(d)
-    free = tuple(i for i in range(d) if p[i] == 0 or not np.any(coeffs[i]))
-    rest = [i for i in range(d) if i not in free]
+    free, rest = _split_axes(cfg, p)
     n_rest = n_axis ** len(rest)
     blocks = np.moveaxis(
         _grid_mode_blocks(table, n_axis).reshape((n_axis,) * d + (n_lvl, n_lvl)),
@@ -275,21 +288,23 @@ def _sectors(cfg, table, p, zero_only=False):
 def _fold(cfg, table, p):
     """`_sectors` of M(p) as the stacks to eigensolve, the tracked one first.
 
-    With no free axis and odd harmonics only, the one sector commutes with
-    the signed inversion k -> pi - k, (S v)(x) = (-1)^(sum x) v(-x) in the
-    mode basis (N is even): A(-x) = A(x), and an odd harmonic's stencil
-    flips sign under x -> -x and under (-1)^(sum x) alike.  It then splits
-    exactly into an even and an odd block: each orbit {x, -x} sums its
-    columns with the sign +-(-1)^(sum x) on its representative's rows, with
-    no 1/sqrt(2) basis.  The even block holds the p = 0 kernel
-    delta_{x=0} x Gibbs.  Returns [even[None], odd[None]], or [stack].
+    With odd harmonics only, each sector commutes with the signed inversion
+    of the rest axes, (S v)(x_R) = (-1)^(sum x_R) v(-x_R) (N is even):
+    A(x_F, -x_R) = A(x_F, x_R) by the kernel check of `_grid_mode_blocks`,
+    and an odd harmonic's stencil flips sign under x_R -> -x_R and under
+    (-1)^(sum x_R) alike.  The whole stack splits into even and odd blocks:
+    each orbit {x_R, -x_R} sums its columns with the sign +-(-1)^(sum x_R)
+    on its representative's rows, with no 1/sqrt(2) basis.  The even
+    x_F = 0 block holds the p = 0 kernel delta_{x=0} x Gibbs.  Returns
+    [even, odd], or [stack] when R is empty or a harmonic is even.
     """
-    d, n_axis = cfg.dim, cfg.grid.points_per_axis
     stack = _sectors(cfg, table, p)
-    if len(stack) > 1 or np.any(cfg.dispersion.per_axis(d)[:, 1::2]):
+    rest = _split_axes(cfg, p)[1]
+    if not rest or np.any(cfg.dispersion.per_axis(cfg.dim)[:, 1::2]):
         return [stack]
-    x = np.indices((n_axis,) * d).reshape(d, -1)
-    neg = np.ravel_multi_index(-x % n_axis, (n_axis,) * d)
+    shape = (cfg.grid.points_per_axis,) * len(rest)
+    x = np.indices(shape).reshape(len(rest), -1)
+    neg = np.ravel_multi_index(-x % shape[0], shape)
     sign = (-1.0) ** x.sum(axis=0)
     idx = np.arange(neg.size)
     shift = neg.size * np.arange(len(table.levels))[:, None]
@@ -298,8 +313,8 @@ def _fold(cfg, table, p):
         rep = np.flatnonzero((idx < neg) | ((idx == neg) & (sign == parity)))
         rows, cols = (shift + rep).ravel(), (shift + neg[rep]).ravel()
         weight = np.tile(parity * sign[rep] * (rep < neg[rep]), len(shift))
-        halves.append((stack[0][np.ix_(rows, rows)]
-                       + weight * stack[0][np.ix_(rows, cols)])[None])
+        halves.append(stack[:, rows[:, None], rows]
+                      + weight * stack[:, rows[:, None], cols])
     return halves
 
 

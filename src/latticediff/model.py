@@ -217,11 +217,20 @@ def _couplings_from_json(raw):
     return out
 
 
+def _integer(data, key, default=None):
+    """data[key], or the default, as a JSON integer: a float or a bool is
+    refused, not truncated."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(data):
     """Build a ModelConfig from the documented JSON layout."""
     from .reservoir import BathProfile  # local import: reservoir imports model types
 
-    dim = int(data["dim"])
+    dim = _integer(data, "dim")
     beta = float(data["beta"])
     disp = data.get("dispersion", {"kind": "nearest_neighbor"})
     dispersion = DispersionSpec(
@@ -236,8 +245,8 @@ def model_from_dict(data):
     bath = BathProfile.from_dict(data["bath"], beta=beta, dim=dim)
     grid_raw = data.get("grid", {})
     grid = GridSpec(
-        points_per_axis=int(grid_raw.get("points_per_axis", 128)),
-        sphere_nodes=int(grid_raw.get("sphere_nodes", 2)),
+        points_per_axis=_integer(grid_raw, "points_per_axis", 128),
+        sphere_nodes=_integer(grid_raw, "sphere_nodes", 2),
     )
     return ModelConfig(
         dim=dim,
@@ -246,7 +255,7 @@ def model_from_dict(data):
         beta=beta,
         bath=bath,
         grid=grid,
-        rng_seed=int(data.get("rng_seed", 2024)),
+        rng_seed=_integer(data, "rng_seed", 2024),
     )
 
 

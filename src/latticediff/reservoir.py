@@ -245,26 +245,6 @@ def psi_xt(profile, x, t):
     return complex(psi_xt_batch(profile, [np.atleast_1d(x)], [t])[0])
 
 
-@dataclass(frozen=True)
-class CorrelationSample:
-    """One evaluated correlation point; value(x, -t) = conj(value(x, t))
-    and the value depends on x through |x| only."""
-
-    x: tuple
-    t: float
-    value: complex
-
-
-def correlation_samples(profile, x, times):
-    """psi(x, t) along a time grid at fixed x, as CorrelationSample rows."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    times = np.asarray(times, dtype=float)
-    values = psi_xt_batch(profile, np.tile(x_arr, (len(times), 1)), times,
-                          check=False)
-    return [CorrelationSample(x=tuple(x_arr), t=float(t), value=complex(v))
-            for t, v in zip(times, values)]
-
-
 def _cumulative_halfline(profile, x, a, refine):
     """Partial integrals int_0^{T_j} psi(x, t) e^{i a t} dt at tail anchors.
 

@@ -15,16 +15,16 @@ free axes, in the grid's Fourier-mode basis, where a fiber at real p is
 real: every eigensolve runs in float64, free axis or none.  The sectors
 come from `generator._sectors`, built from p and the shared mode blocks
 with the kinetic term as a closed-form stencil, never from a dense fiber.
-The curve and the gaps read dense sector spectra; a fiber with no free
-axis and odd harmonics only is solved as the even and odd halves of its
-one sector under k -> pi - k (`generator._fold`).  The Hessian (x_F = 0
-sectors of the center and the 2d axis points alone, unfolded, since D is
-diagonal) and the stationary state use `_two_sided_rayleigh`.
+The curve and the gaps read dense sector spectra, halved under the signed
+inversion of the non-free axes when the harmonics are odd
+(`generator._fold`).  The Hessian (unfolded x_F = 0 sectors of the center
+and the 2d axis points, as D is diagonal and h^-2 would amplify the fold's
+~1e-15 defect) and the stationary state use `_two_sided_rayleigh`.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -123,9 +123,9 @@ def _start_vectors(table, block):
 def perron_curve(cfg, table, p_list):
     """Track the top eigenvalue of the population fiber along a p path.
 
-    At every p the dense spectra of all sectors (or of the two folded
+    At every p the dense spectra of all sectors (or of their folded
     halves) are computed once; from the zero mode at p = 0 on, the followed
-    eigenvalue is the x_F = 0 sector's (or the even half's) one nearest the
+    eigenvalue is the x_F = 0 sector's (or its even half's) one nearest the
     previous step, and the rest gives the gap to the bulk.
     Raises TrackingLossError on a non-finite p, or when the followed
     eigenvalue jumps more than the fiber derivative allows (branch collision).
@@ -176,13 +176,8 @@ class GapReport:
     coherence_tops: dict
 
     def to_dict(self):
-        return {
-            "g_low": self.g_low,
-            "g_high": self.g_high,
-            "p_star": self.p_star,
-            "gap_at_zero": self.gap_at_zero,
-            "coherence_tops": {str(k): v for k, v in self.coherence_tops.items()},
-        }
+        return {**asdict(self), "coherence_tops": {
+            str(k): v for k, v in self.coherence_tops.items()}}
 
 
 def spectral_gaps(cfg, table=None):

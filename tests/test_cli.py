@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from latticediff.presets import reference_1d
+from latticediff.reservoir import psi_xt
 
 
 def _write_config(tmp_path, cfg, name="model.json"):
@@ -49,12 +50,36 @@ def test_validate_bad_config_exits_two(tmp_path, small_cfg):
     assert "fgr_connectivity" in error["message"]
 
 
+@pytest.mark.parametrize("path,value", [
+    (("dim",), 1.9),
+    (("dim",), True),
+    (("grid", "points_per_axis"), 16.5),
+    (("grid", "sphere_nodes"), 2.5),
+    (("rng_seed",), 3.7),
+], ids=["dim", "dim-bool", "points-per-axis", "sphere-nodes", "rng-seed"])
+def test_non_integer_config_value_exits_two(tmp_path, small_cfg, path, value):
+    # a non-integer is refused, not truncated to a config that then runs
+    data = small_cfg.to_dict()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = _run("validate", "--config", str(bad))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "ValidationError"
+    assert path[-1] in error["message"]
+
+
 def test_missing_config_exits_two(tmp_path):
     result = _run("validate", "--config", str(tmp_path / "nope.json"))
     assert result.returncode == 2
 
 
-def test_psi_writes_csv_with_manifest(tmp_path, config_path):
+def test_psi_writes_csv_with_manifest(tmp_path, config_path, small_cfg):
     out = tmp_path / "psi.csv"
     result = _run("psi", "--config", config_path, "--x", "0", "--tmax", "5",
                   "--points", "11", "--out", str(out))
@@ -63,6 +88,11 @@ def test_psi_writes_csv_with_manifest(tmp_path, config_path):
     assert lines[0].startswith("# manifest: ")
     assert lines[1] == "t,re,im"
     assert len(lines) == 13
+    # the rows take one frequency rule; the checked psi_xt agrees at t = 1
+    t, re, im = (float(v) for v in lines[4].split(","))
+    assert t == 1.0
+    assert complex(re, im) == pytest.approx(psi_xt(small_cfg.bath, [0.0], t),
+                                            rel=1e-7)
     manifest = json.loads((tmp_path / "psi.manifest.json").read_text())
     assert lines[0].split(": ")[1] == manifest["manifest_hash"]
     assert manifest["outputs"] == [str(out)]

@@ -202,11 +202,12 @@ def _assert_sectors_match_dense(cfg, table, p, free):
     dist = np.abs(stacked[:, None] - dense[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-11 * scale
-    # with no free axis and odd harmonics only, the signed inversion splits
-    # the one sector into two halves that carry its spectrum
+    # with odd harmonics only and some axis not free, the signed inversion
+    # of the non-free axes splits every sector into two halves that carry
+    # its spectrum
     folded = _fold(cfg, table, p)
     odd_only = not np.any(cfg.dispersion.per_axis(cfg.dim)[:, 1::2])
-    assert len(folded) == (2 if free == () and odd_only else 1)
+    assert len(folded) == (2 if odd_only and len(free) < cfg.dim else 1)
     halves = np.concatenate([np.linalg.eigvals(s).ravel() for s in folded])
     assert halves.size == stacked.size
     dist = np.abs(halves[:, None] - stacked[None, :])
@@ -283,16 +284,20 @@ def test_sectors_match_dense_spectrum(make, p, free):
 @pytest.mark.parametrize("make,p", [
     (lambda: reference_1d(n_k=16), (0.3,)),
     (lambda: reference_2d(n_k=8), (0.2, -0.1)),
+    (lambda: reference_2d(n_k=8), (0.3, 0.0)),
+    (_three_dimensional_model, (0.0, 0.4, 0.0)),
     (lambda: _aliased_model(_ALIASED_ODD, 8), (0.3,)),
-], ids=["1d", "2d-oblique", "1d-aliased-odd"])
+], ids=["1d", "2d-oblique", "2d-axis", "3d-axis", "1d-aliased-odd"])
 def test_fold_even_half_holds_the_tracked_eigenvalue(make, p):
     cfg = make()
     table = build_rate_table(cfg)
     block = _sectors(cfg, table, np.asarray(p))[0]
     even = _fold(cfg, table, np.asarray(p))[0]
-    # L (N^d + 2^d) / 2 rows: here every fixed mode x = -x has an even sum
-    n_modes = cfg.grid.points_per_axis ** cfg.dim
-    assert even.shape[1] == len(table.levels) * (n_modes + 2 ** cfg.dim) // 2
+    # L (N^r + 2^r) / 2 rows for r non-free axes (no model here has a flat
+    # row): every fixed mode x_R = -x_R has an even sum, as 4 divides N
+    r = np.count_nonzero(p)
+    n_modes = cfg.grid.points_per_axis ** r
+    assert even.shape[1] == len(table.levels) * (n_modes + 2 ** r) // 2
     tracked = _two_sided_rayleigh(block, 0.0,
                                   *_start_vectors(table, block))[0]
     assert np.abs(np.linalg.eigvals(even[0]) - tracked).min() \
@@ -308,6 +313,16 @@ def test_sectors_refuse_kernel_without_inversion_symmetry(p):
                                 weights=(2.0,))
     with pytest.raises(NumericError, match="inversion symmetric"):
         _sectors(cfg, table, np.array([p]))
+
+
+def test_kernel_check_accepts_long_kicks():
+    # a kick of 27 grid steps rounds its offsets to ~27 eps: the kernel's
+    # reflection defect reads 65 eps kappa_hat(0), past a flat 64 eps
+    cfg = dataclasses.replace(reference_2d(n_k=32, m_dir=14), spin=SpinSystem(
+        levels=(0.0, 5.3), couplings=((0, 1), (1, 0))))
+    assert validate_model(cfg).passed
+    blocks = generator._grid_mode_blocks(build_rate_table(cfg), 32)
+    assert blocks.shape == (32 * 32, 2, 2)
 
 
 def test_mode_blocks_deposited_once_and_shared_read_only(monkeypatch):

@@ -276,15 +276,6 @@ def test_gain_coefficient_vanishing_weight(bath2):
     assert abs(gain_coefficient_position(bath2, 0.0, [1, 0])) <= 1e-6 * scale
 
 
-def test_correlation_samples_helper(bath2):
-    from latticediff.reservoir import correlation_samples
-
-    samples = correlation_samples(bath2, [1, 0], [0.0, 1.0, 2.0])
-    assert [s.t for s in samples] == [0.0, 1.0, 2.0]
-    assert samples[1].value == pytest.approx(psi_xt(bath2, [1, 0], 1.0),
-                                             rel=1e-7)
-
-
 def test_gain_coefficient_dual_route(bath2):
     rng = np.random.default_rng(3)
     for _ in range(3):

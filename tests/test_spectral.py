@@ -240,10 +240,10 @@ def test_gaps_assemble_dense_fibers_only_on_the_small_ray(ref2d, monkeypatch):
     assert [args[2].tolist() for args, _ in fibers] == [[s, 0.0] for s in small]
 
 
-def test_curve_and_gaps_eigensolve_folded_halves_in_1d(ref1d, ref1d_table,
-                                                        monkeypatch):
-    # at p != 0 a 1-d fiber has no free axis: its one sector of L N rows is
-    # solved as its even and odd halves under the signed inversion
+def _eigensolve_sizes(cfg, table, monkeypatch):
+    """Row counts of every eigvals call made by a 4-point curve along axis
+    0 and by the gaps; one stack at each p = 0, two halves at each of the
+    3 + 6 + 3 others."""
     sizes = []
     eigvals = np.linalg.eigvals
 
@@ -252,11 +252,29 @@ def test_curve_and_gaps_eigensolve_folded_halves_in_1d(ref1d, ref1d_table,
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    perron_curve(ref1d, ref1d_table, [[s] for s in np.linspace(0.0, 0.5, 4)])
-    spectral_gaps(ref1d, ref1d_table)
-    n_lvl, n_k = len(ref1d_table.levels), ref1d.grid.points_per_axis
-    # one stack at each p = 0, two halves at each of the 3 + 6 + 3 others
+    axis = np.eye(cfg.dim)[0]
+    perron_curve(cfg, table, [s * axis for s in np.linspace(0.0, 0.5, 4)])
+    spectral_gaps(cfg, table)
     assert len(sizes) == 2 + 2 * (3 + 6 + 3)
+    return sizes
+
+
+def test_curve_and_gaps_eigensolve_folded_halves_in_1d(ref1d, ref1d_table,
+                                                        monkeypatch):
+    # at p != 0 a 1-d fiber has no free axis: its one sector of L N rows is
+    # solved as its even and odd halves under the signed inversion
+    sizes = _eigensolve_sizes(ref1d, ref1d_table, monkeypatch)
+    n_lvl, n_k = len(ref1d_table.levels), ref1d.grid.points_per_axis
+    assert max(sizes) == n_lvl * (n_k // 2 + 1)
+
+
+def test_curve_and_gaps_eigensolve_folded_halves_in_2d(monkeypatch):
+    # on the axis-0 ray axis 1 is free: each of the N sectors of L N rows
+    # is solved as its even and odd halves under the inversion of axis 0
+    cfg = reference_2d(n_k=8)
+    table = build_rate_table(cfg)
+    sizes = _eigensolve_sizes(cfg, table, monkeypatch)
+    n_lvl, n_k = len(table.levels), cfg.grid.points_per_axis
     assert max(sizes) == n_lvl * (n_k // 2 + 1)
 
 
