@@ -276,6 +276,16 @@ def test_gain_coefficient_vanishing_weight(bath2):
     assert abs(gain_coefficient_position(bath2, 0.0, [1, 0])) <= 1e-6 * scale
 
 
+def test_correlation_samples_helper(bath2):
+    # the one-rule rows that `psi` writes agree with the checked psi_xt
+    times = [0.0, 1.0, 2.0]
+    samples = psi_xt_batch(bath2, np.tile([1.0, 0.0], (3, 1)), times,
+                           check=False)
+    assert samples.shape == (3,)
+    for t, value in zip(times, samples):
+        assert value == pytest.approx(psi_xt(bath2, [1, 0], t), rel=1e-7)
+
+
 def test_gain_coefficient_dual_route(bath2):
     rng = np.random.default_rng(3)
     for _ in range(3):
