@@ -110,7 +110,7 @@ def _kernel_from_expression(expr):
             return np.asarray(eval(code, {"__builtins__": {}},
                                    {**allowed, "t": t}), dtype=float)
         except (ZeroDivisionError, TypeError, ValueError) as exc:
-            # a DiagramError, because the kernel norms map ValueError to inf
+            # a DiagramError, which names the expression at fault
             raise DiagramError(f"kernel expression {expr!r} fails at "
                                f"t = {t}: {exc}") from exc
 
@@ -304,10 +304,12 @@ def cmd_diagrams(args):
         return 0
     if not args.check_d1:
         raise ValueError("diagrams needs --list or --check-d1")
+    samples = float(args.samples)
+    if not samples.is_integer():  # refused, not truncated; inf and nan too
+        raise ValueError(f"--samples must be an integer, got {args.samples!r}")
     k = _kernel_from_expression(args.k)
     report = check_lemma_bounds(k, args.a, n_max=args.nmax,
-                                mc_samples=int(float(args.samples)),
-                                seed=args.seed)
+                                mc_samples=int(samples), seed=args.seed)
     manifest = _manifest(hashlib.sha256(args.k.encode()).hexdigest(),
                          "diagrams",
                          {"k": args.k, "a": args.a, "nmax": args.nmax,

@@ -280,14 +280,31 @@ def test_diagrams_rejects_nonpositive_samples(tmp_path, samples):
     (["--k", "1/0"], "DiagramError"),
     (["--k", "t(1)"], "DiagramError"),
     (["--k", "exp"], "DiagramError"),
+    (["--samples", "inf"], "ValueError"),
+    (["--samples", "1e400"], "ValueError"),
+    (["--samples", "2.5"], "ValueError"),
+    (["--a", "nan"], "ValueError"),
 ], ids=["nmax-zero", "nmax-negative", "kernel-divides-by-zero",
-        "kernel-calls-a-number", "kernel-is-a-function"])
+        "kernel-calls-a-number", "kernel-is-a-function", "samples-inf",
+        "samples-overflow", "samples-fraction", "a-nan"])
 def test_diagrams_bad_check_input_exits_two(tmp_path, args, error):
     out = tmp_path / "d1.json"
     result = _run("diagrams", "--check-d1", *args, "--out", str(out))
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == error
     assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_diagrams_divergent_kernel_exits_one_with_one_json_line(tmp_path):
+    out = tmp_path / "d1.json"
+    result = _run("diagrams", "--check-d1", "--k", "0.05", "--out", str(out))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "PreconditionError"
+    assert "inf" in error["message"]
     assert not out.exists()
 
 

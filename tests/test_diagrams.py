@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from latticediff.diagrams import (DiagramError, PreconditionError,
+from latticediff.diagrams import (DiagramError, PreconditionError, _norm,
                                   check_lemma_bounds, classify,
                                   double_factorial_odd, enumerate_pairings,
                                   kernel_norms, mir_shape)
@@ -88,6 +90,58 @@ def test_kernel_norms_closed_forms():
     assert norms["k_l1"] == pytest.approx(0.05, rel=1e-9)
     assert norms["t_exp_weighted"] == pytest.approx(0.05, rel=1e-9)
     assert norms["a_shifted"] == pytest.approx(0.05, rel=1e-9)
+
+
+def _step(t):
+    t = np.asarray(t, dtype=float)
+    return np.where(t > 0.5, 0.05 * np.exp(-t), 0.0)
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("t_power", [0, 1])
+def test_norm_meets_exponential_closed_forms(rate, a, t_power):
+    # int t^p e^{at} 0.05 e^{-rate t} dt = 0.05 p! / (rate - a)^(p + 1)
+    val = _norm(lambda t: 0.05 * np.exp(-rate * t), a, t_power)
+    exact = 0.05 * math.factorial(t_power) / (rate - a) ** (t_power + 1)
+    assert val == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("t_power,exact", [
+    (0, 0.05 * math.exp(-0.5)),
+    (1, 0.05 * 1.5 * math.exp(-0.5)),
+], ids=["l1", "t-weighted"])
+def test_norm_meets_step_kernel_closed_forms(t_power, exact):
+    assert _norm(_step, 0.0, t_power) == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+def test_norm_follows_a_power_tail():
+    # 0.01 (1 + t)^-1.5 is 0.01 s^1.5 in s = 1 / (1 + t): the panels next
+    # to s = 0 carry the tail that a u / (1 - u) map cannot refine
+    val = _norm(lambda t: 0.01 * (1.0 + t) ** -1.5)
+    assert val == pytest.approx(0.02, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("t_power", [0, 1])
+def test_norm_matches_quad_on_a_kinked_kernel(t_power):
+    from scipy.integrate import quad
+
+    def k(t):
+        return 0.05 * np.exp(-t) * np.abs(np.cos(t))
+
+    ref, _ = quad(lambda t: t ** t_power * k(t), 0.0, math.inf, limit=400)
+    assert _norm(k, 0.0, t_power) == pytest.approx(ref, rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("k,a,t_power", [
+    (lambda t: 0.05, 0.0, 0),
+    (lambda t: t, 0.0, 0),
+    (lambda t: 0.01 / (1.0 + t), 0.0, 0),
+    (lambda t: 0.01 / np.sqrt(1.0 + t), 0.0, 0),
+    (lambda t: 0.05 * np.exp(-t), 1.2, 1),
+], ids=["constant", "linear", "inverse", "inverse-sqrt", "growing-weight"])
+def test_norm_of_divergent_integrals_is_inf(k, a, t_power):
+    assert _norm(k, a, t_power) == math.inf
 
 
 def test_lemma_bound_preconditions_enforced():

@@ -18,3 +18,16 @@ def test_cli_import_leaves_out_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_diagrams_run_leaves_out_scipy_integrate_and_optimize():
+    # the kernel norms are a numpy panel rule: a CLI process never pays
+    # for scipy.integrate and the modules it drags in
+    code = ("import sys, latticediff.cli as cli; "
+            "cli.main(['diagrams', '--check-d1', '--samples', '2e4', "
+            "'--nmax', '2']); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -167,6 +167,30 @@ def test_hessian_matches_formula_to_roundoff_2d():
     assert rel <= 1e-11
 
 
+def _weakly_coupled(w):
+    """2-d N = 6, m = 4, unit cosine rows, levels 0 and 1, coupling w: the
+    p = 0 gap falls as w^2 (0.131 at w = 1/8, 8.2e-3 at 1/32), and with it
+    the p scale on which the top eigenvalue bends."""
+    return dataclasses.replace(
+        reference_2d(n_k=6, m_dir=4),
+        dispersion=DispersionSpec("cosine_series",
+                                  coefficients=((1.0,), (1.0,))),
+        spin=SpinSystem(levels=(0.0, 1.0), couplings=((0.0, w), (w, 0.0))))
+
+
+@pytest.mark.parametrize("w", [1 / 8, 1 / 32], ids=["w-1/8", "w-1/32"])
+def test_hessian_step_follows_the_gap_of_weakly_coupled_models(w):
+    # at w = 1/32 the fixed step h = 1e-3 fails the step-halving gate
+    # (defect 4.5e-3); the retry at 1e-3 gap0 / v_max meets the formula
+    cfg = _weakly_coupled(w)
+    assert validate_model(cfg).passed
+    table = build_rate_table(cfg)
+    hess = diffusion_tensor_hessian(cfg, table).tensor
+    formula = diffusion_tensor_formula(cfg, table)
+    rel = np.max(np.abs(hess - formula)) / np.abs(formula).max()
+    assert rel <= 1e-8
+
+
 def _spy(monkeypatch, name):
     """Record the positional arguments and results of spectral.<name>."""
     calls = []
