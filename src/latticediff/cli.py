@@ -1,11 +1,9 @@
 """Command-line entry point: subcommands, deterministic outputs, manifests.
 
-Every command that writes files also writes a run manifest next to its
-primary output.  The manifest hash covers only the deterministic run
-identity (config hash, command, flags, seed, versions); wall time and the
-output list are recorded in the manifest but not hashed, so repeated runs
-with identical inputs produce byte-identical data files, each of which
-embeds the manifest hash.
+Each command computes all of its outputs first and hands them to `_emit`,
+the one writer of data files, their manifest-hash stamps and the run
+manifest.  Repeated runs with identical inputs give byte-identical data
+files.
 """
 
 import argparse
@@ -44,45 +42,40 @@ def _versions():
     }
 
 
-def _manifest(config_hash, command, flags, seed, outputs):
-    core = {
-        "command": command,
-        "config_hash": config_hash,
-        "flags": flags,
-        "seed": seed,
-        "versions": _versions(),
-    }
-    blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
-    core["manifest_hash"] = hashlib.sha256(blob.encode()).hexdigest()
-    core["outputs"] = outputs
-    return core
+def _emit(args, config_hash, seed, flags, files):
+    """Write every output of a run, each stamped with the manifest hash,
+    then the run manifest next to the first output.
 
-
-def _write_manifest(manifest, out_path, wall_time):
-    manifest = dict(manifest)
-    manifest["wall_time_s"] = round(wall_time, 3)
-    path = os.path.splitext(out_path)[0] + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _write_json(payload, path, manifest_hash):
-    payload = dict(payload)
-    payload["manifest_hash"] = manifest_hash
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(rows, header, path, manifest_hash):
-    with open(path, "w") as fh:
-        fh.write(f"# manifest: {manifest_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    `files` holds finished contents as (path, content) pairs: a dict is
+    written as JSON, a (header, rows) pair as CSV, and a pair without a
+    path is skipped.  The hash covers the command, config hash, flags, seed
+    and versions; the output list and the wall time are recorded but not
+    hashed.  With no path at all, the first content is printed as JSON.
+    """
+    written = [(path, content) for path, content in files if path]
+    if not written:
+        print(json.dumps(files[0][1], indent=2, sort_keys=True))
+        return
+    manifest = {"command": args.command, "config_hash": config_hash,
+                "flags": flags, "seed": seed, "versions": _versions()}
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    stamp = hashlib.sha256(blob.encode()).hexdigest()
+    manifest["outputs"] = [path for path, _ in written]
+    manifest["wall_time_s"] = round(args.wall_time(), 3)
+    written.append((os.path.splitext(written[0][0])[0] + ".manifest.json",
+                    manifest))
+    for path, content in written:
+        with open(path, "w") as fh:
+            if isinstance(content, dict):
+                json.dump({**content, "manifest_hash": stamp}, fh, indent=2,
+                          sort_keys=True)
+                fh.write("\n")
+            else:
+                header, rows = content
+                fh.write(f"# manifest: {stamp}\n" + ",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(repr(v) if isinstance(v, float)
+                                      else str(v) for v in row) + "\n")
 
 
 def _parse_vector(text, dim=None):
@@ -120,15 +113,8 @@ def _kernel_from_expression(expr):
 def cmd_validate(args):
     cfg = model_from_json(args.config)
     report = validate_model(cfg)
-    manifest = _manifest(cfg.config_hash(), "validate",
-                         {"config": args.config}, cfg.rng_seed,
-                         [args.out] if args.out else [])
-    payload = report.to_dict()
-    if args.out:
-        _write_json(payload, args.out, manifest["manifest_hash"])
-        _write_manifest(manifest, args.out, args.wall_time())
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, cfg.config_hash(), cfg.rng_seed, {"config": args.config},
+          [(args.out, report.to_dict())])
     if not report.passed:
         names = ", ".join(c.name for c in report.failures)
         raise ValidationError(f"validation failed: {names}")
@@ -151,15 +137,11 @@ def cmd_psi(args):
              "points": args.points}
     if args.decay_check:
         flags["v_star"] = args.v_star
-    outputs = [args.out] + ([args.decay_check] if args.decay_check else [])
-    manifest = _manifest(cfg.config_hash(), "psi", flags, cfg.rng_seed,
-                         outputs)
     rows = [(float(t), float(v.real), float(v.imag))
             for t, v in zip(times, values)]
-    _write_csv(rows, ["t", "re", "im"], args.out, manifest["manifest_hash"])
-    if fit is not None:
-        _write_json(asdict(fit), args.decay_check, manifest["manifest_hash"])
-    _write_manifest(manifest, args.out, args.wall_time())
+    _emit(args, cfg.config_hash(), cfg.rng_seed, flags,
+          [(args.out, (["t", "re", "im"], rows)),
+           (args.decay_check, asdict(fit) if fit else None)])
     return 0
 
 
@@ -177,20 +159,9 @@ def cmd_rates(args):
         "levels": list(table.levels),
         "escape_rates": rates.tolist(),
         "sphere_weight_total": float(table.weight_array.sum()),
-        "channels": [
-            {"source": c.source, "target": c.target, "bohr": c.bohr,
-             "amplitude": c.amplitude, "radius": c.radius}
-            for c in table.channels
-        ],
+        "channels": [asdict(c) for c in table.channels],
     }
-    outputs = [args.out]
-    if args.dump_matrix:
-        outputs.append(args.matrix_out)
-    manifest = _manifest(cfg.config_hash(), "rates",
-                         {"config": args.config,
-                          "dump_matrix": args.dump_matrix or ""},
-                         cfg.rng_seed, outputs)
-    _write_json(payload, args.out, manifest["manifest_hash"])
+    matrix = None
     if p is not None:
         block = assemble_fiber(cfg, table, p, 0.0)
         mat = np.asarray(block.matrix, dtype=complex)
@@ -199,9 +170,11 @@ def cmd_rates(args):
         for r, c in zip(*nz):
             v = mat[r, c]
             rows.append((int(r), int(c), float(v.real), float(v.imag)))
-        _write_csv(rows, ["row", "col", "re", "im"], args.matrix_out,
-                   manifest["manifest_hash"])
-    _write_manifest(manifest, args.out, args.wall_time())
+        matrix = (["row", "col", "re", "im"], rows)
+    _emit(args, cfg.config_hash(), cfg.rng_seed,
+          {"config": args.config, "dump_matrix": args.dump_matrix or ""},
+          [(args.out, payload),
+           (args.matrix_out if p is not None else None, matrix)])
     return 0
 
 
@@ -216,15 +189,11 @@ def cmd_spectrum(args):
     scales = np.linspace(0.0, args.pmax, args.steps)
     ps = [np.concatenate([[s], np.zeros(cfg.dim - 1)]) for s in scales]
     points = perron_curve(cfg, table, ps)
-    manifest = _manifest(cfg.config_hash(), "spectrum",
-                         {"config": args.config, "pmax": args.pmax,
-                          "steps": args.steps},
-                         cfg.rng_seed, [args.out])
     rows = [(float(np.linalg.norm(pt.p)), pt.eigenvalue.real,
              pt.eigenvalue.imag, pt.gap) for pt in points]
-    _write_csv(rows, ["p", "eig_re", "eig_im", "gap"], args.out,
-               manifest["manifest_hash"])
-    _write_manifest(manifest, args.out, args.wall_time())
+    _emit(args, cfg.config_hash(), cfg.rng_seed,
+          {"config": args.config, "pmax": args.pmax, "steps": args.steps},
+          [(args.out, (["p", "eig_re", "eig_im", "gap"], rows))])
     return 0
 
 
@@ -255,12 +224,9 @@ def cmd_diffusion(args):
         payload["kmc"] = stats.diffusion.tolist()
         payload["kmc_se"] = stats.diffusion_se.tolist()
         payload["kmc_t_final"] = t_final
-    manifest = _manifest(cfg.config_hash(), "diffusion",
-                         {"config": args.config,
-                          "kmc_traj": args.kmc_traj or 0},
-                         cfg.rng_seed, [args.out])
-    _write_json(payload, args.out, manifest["manifest_hash"])
-    _write_manifest(manifest, args.out, args.wall_time())
+    _emit(args, cfg.config_hash(), cfg.rng_seed,
+          {"config": args.config, "kmc_traj": args.kmc_traj or 0},
+          [(args.out, payload)])
     return 0
 
 
@@ -277,12 +243,7 @@ def cmd_simulate(args):
              if args.dump_paths else None)
     stats = run_ensemble(cfg, args.traj, args.tfinal, probes=probes,
                          table=table, threads=args.threads)
-    outputs = [args.out] + ([args.dump_paths] if args.dump_paths else [])
-    manifest = _manifest(cfg.config_hash(), "simulate",
-                         {"config": args.config, "traj": args.traj,
-                          "tfinal": args.tfinal, "probes": args.probes or ""},
-                         cfg.rng_seed, outputs)
-    _write_json(stats.to_dict(), args.out, manifest["manifest_hash"])
+    dump = None
     if paths is not None:
         rows = []
         for (i, t, x, k, level) in paths:
@@ -291,8 +252,11 @@ def cmd_simulate(args):
                          int(level)))
         header = (["path", "t"] + [f"x{j}" for j in range(cfg.dim)]
                   + [f"k{j}" for j in range(cfg.dim)] + ["level"])
-        _write_csv(rows, header, args.dump_paths, manifest["manifest_hash"])
-    _write_manifest(manifest, args.out, args.wall_time())
+        dump = (header, rows)
+    _emit(args, cfg.config_hash(), cfg.rng_seed,
+          {"config": args.config, "traj": args.traj, "tfinal": args.tfinal,
+           "probes": args.probes or ""},
+          [(args.out, stats.to_dict()), (args.dump_paths, dump)])
     return 0
 
 
@@ -310,17 +274,10 @@ def cmd_diagrams(args):
     k = _kernel_from_expression(args.k)
     report = check_lemma_bounds(k, args.a, n_max=args.nmax,
                                 mc_samples=int(samples), seed=args.seed)
-    manifest = _manifest(hashlib.sha256(args.k.encode()).hexdigest(),
-                         "diagrams",
-                         {"k": args.k, "a": args.a, "nmax": args.nmax,
-                          "samples": args.samples},
-                         args.seed, [args.out] if args.out else [])
-    payload = report.to_dict()
-    if args.out:
-        _write_json(payload, args.out, manifest["manifest_hash"])
-        _write_manifest(manifest, args.out, args.wall_time())
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, hashlib.sha256(args.k.encode()).hexdigest(), args.seed,
+          {"k": args.k, "a": args.a, "nmax": args.nmax,
+           "samples": args.samples},
+          [(args.out, report.to_dict())])
     return 0
 
 

@@ -294,14 +294,15 @@ def check_lemma_bounds(k, a, n_max=4, mc_samples=10 ** 6, seed=0):
     if not math.isfinite(a):
         raise ValueError(f"the Laplace variable must be finite, got a = {a}")
     norms = kernel_norms(k, a)
-    if not norms["t_exp_weighted"] < 1.0:
-        raise PreconditionError(
-            f"||t e^(at) k||_1 = {norms['t_exp_weighted']:.4f} >= 1"
-        )
-    if not norms["t_exp_shift_weighted"] < 1.0:
-        raise PreconditionError(
-            f"||t e^(a~t) k||_1 = {norms['t_exp_shift_weighted']:.4f} >= 1"
-        )
+    for name, key in (("||t e^(at) k||_1", "t_exp_weighted"),
+                      ("||t e^(a~t) k||_1", "t_exp_shift_weighted")):
+        if not math.isfinite(norms[key]):
+            raise PreconditionError(
+                f"{name} = inf: the integral diverges or needs more than "
+                f"{NORM_PANELS} panels"
+            )
+        if not norms[key] < 1.0:
+            raise PreconditionError(f"{name} = {norms[key]:.4f} >= 1")
     t_max = _laplace_t_cutoff(k, a)
 
     mir_val, mir_var, drawn = 0.0, 0.0, 0

@@ -9,6 +9,7 @@ construction and safe to share across threads.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,6 +47,8 @@ class DispersionSpec:
                 self, "coefficients",
                 tuple(tuple(float(c) for c in row) for row in coeffs),
             )
+            if not all(math.isfinite(c) for row in self.coefficients for c in row):
+                raise ValidationError("cosine_series coefficients must be finite")
 
     def per_axis(self, dim):
         """Amplitude rows, one per axis, as a (dim, n_harmonics) array."""
@@ -163,8 +166,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
-        if not self.beta > 0:
-            raise ValidationError("beta must be strictly positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValidationError("beta must be finite and strictly positive")
 
     def axis(self):
         """Grid values along one axis: -pi + 2 pi j / N, j = 0..N-1."""
@@ -205,6 +208,8 @@ class ModelConfig:
 
 
 def _couplings_from_json(raw):
+    if not (isinstance(raw, list) and all(isinstance(r, list) for r in raw)):
+        raise ValidationError(f"couplings must be a list of rows, got {raw!r}")
     out = []
     for row in raw:
         vals = []
@@ -226,24 +231,35 @@ def _integer(data, key, default=None):
     return value
 
 
+def _section(data, key, default=None):
+    """data[key], or the default, as a JSON object."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def model_from_dict(data):
     """Build a ModelConfig from the documented JSON layout."""
     from .reservoir import BathProfile  # local import: reservoir imports model types
 
+    if not isinstance(data, dict):
+        raise ValidationError(f"a config must be a JSON object, got {data!r}")
     dim = _integer(data, "dim")
     beta = float(data["beta"])
-    disp = data.get("dispersion", {"kind": "nearest_neighbor"})
+    disp = _section(data, "dispersion", {"kind": "nearest_neighbor"})
     dispersion = DispersionSpec(
         kind=disp.get("kind", "nearest_neighbor"),
         coefficients=tuple(tuple(r) if isinstance(r, (list, tuple)) else (r,)
                            for r in disp.get("coefficients", [])),
     )
+    spin_raw = _section(data, "spin")
     spin = SpinSystem(
-        levels=tuple(data["spin"]["levels"]),
-        couplings=_couplings_from_json(data["spin"]["couplings"]),
+        levels=tuple(spin_raw["levels"]),
+        couplings=_couplings_from_json(spin_raw["couplings"]),
     )
-    bath = BathProfile.from_dict(data["bath"], beta=beta, dim=dim)
-    grid_raw = data.get("grid", {})
+    bath = BathProfile.from_dict(_section(data, "bath"), beta=beta, dim=dim)
+    grid_raw = _section(data, "grid", {})
     grid = GridSpec(
         points_per_axis=_integer(grid_raw, "points_per_axis", 128),
         sphere_nodes=_integer(grid_raw, "sphere_nodes", 2),

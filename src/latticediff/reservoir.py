@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NumericError
+from .model import NumericError, ValidationError
 from .sphere import plane_wave_average, surface_area
 
 
@@ -74,6 +74,10 @@ class BathProfile:
             raise ValueError(f"unknown bath kind {self.kind!r}")
         if not self.beta > 0:
             raise ValueError("beta must be strictly positive")
+        if self.kind == "builtin_gaussian" and not (
+                math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ValidationError(
+                f"bath cutoff must be finite and positive, got {self.cutoff}")
         if self.kind == "tabulated":
             om = np.asarray(self.table_omega, dtype=float)
             val = np.asarray(self.table_values, dtype=float)

@@ -22,12 +22,6 @@ def surface_area(d):
 
 
 @lru_cache(maxsize=128)
-def _jacobi_rule(order, alpha):
-    """Gauss-Jacobi nodes/weights for weight (1-x^2)^alpha on [-1, 1]."""
-    nodes, weights = roots_jacobi(order, alpha, alpha)
-    return nodes, weights
-
-
 def polar_rule(d, order):
     """Quadrature for int_{-1}^{1} (1 - eta^2)^{(d-3)/2} f(eta) d eta.
 
@@ -36,7 +30,8 @@ def polar_rule(d, order):
     """
     if d < 2:
         raise ValueError("polar reduction needs d >= 2")
-    return _jacobi_rule(int(order), (d - 3) / 2.0)
+    alpha = (d - 3) / 2.0
+    return roots_jacobi(int(order), alpha, alpha)
 
 
 def plane_wave_average(d, r):

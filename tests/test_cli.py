@@ -74,6 +74,48 @@ def test_non_integer_config_value_exits_two(tmp_path, small_cfg, path, value):
     assert path[-1] in error["message"]
 
 
+def _malformed(data, case):
+    """A copy of the config text with one section, value or shape broken;
+    1e400 is written as a literal, which JSON reads as inf."""
+    if case == "top-level-list":
+        return json.dumps([data])
+    path, value = {
+        "bath-list": (("bath",), [1]),
+        "dispersion-string": (("dispersion",), "nn"),
+        "grid-string": (("grid",), "x"),
+        "spin-string": (("spin",), "x"),
+        "couplings-vector": (("spin", "couplings"), [1, 2]),
+        "beta-overflow": (("beta",), "@inf@"),
+        "cutoff-overflow": (("bath", "cutoff"), "@inf@"),
+        "cutoff-negative": (("bath", "cutoff"), -1),
+        "cutoff-zero": (("bath", "cutoff"), 0),
+        "coefficient-overflow": (("dispersion",),
+                                 {"kind": "cosine_series",
+                                  "coefficients": ["@inf@"]}),
+    }[case]
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data).replace('"@inf@"', "1e400")
+
+
+@pytest.mark.parametrize("case", [
+    "top-level-list", "bath-list", "dispersion-string", "grid-string",
+    "spin-string", "couplings-vector", "beta-overflow", "cutoff-overflow",
+    "cutoff-negative", "cutoff-zero", "coefficient-overflow"])
+def test_malformed_config_exits_two(tmp_path, small_cfg, case):
+    # refused when the config is read: no traceback, no warning, no report
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed(small_cfg.to_dict(), case))
+    result = _run("validate", "--config", str(bad))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
+
+
 def test_missing_config_exits_two(tmp_path):
     result = _run("validate", "--config", str(tmp_path / "nope.json"))
     assert result.returncode == 2
@@ -116,6 +158,81 @@ def test_psi_decay_check_enters_the_manifest(tmp_path, config_path):
             == manifest["manifest_hash"]
         manifests.append(manifest)
     assert manifests[0]["manifest_hash"] != manifests[1]["manifest_hash"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--out", "validate.json"],
+    ["validate"],
+    ["rates", "--out", "rates.json"],
+    ["rates", "--out", "rates.json", "--dump-matrix", "p=0",
+     "--matrix-out", "matrix.csv"],
+    ["spectrum", "--steps", "4", "--out", "spectrum.csv"],
+    ["diffusion", "--out", "diffusion.json"],
+    ["psi", "--tmax", "5", "--points", "11", "--out", "psi.csv"],
+    ["psi", "--tmax", "20", "--points", "11", "--decay-check", "decay.json",
+     "--out", "psi.csv"],
+    ["simulate", "--traj", "256", "--tfinal", "5", "--probes", "0.1",
+     "--out", "stats.json"],
+    ["simulate", "--traj", "256", "--tfinal", "5", "--probes", "0.1",
+     "--out", "stats.json", "--dump-paths", "paths.csv", "--n-paths", "2"],
+    ["diagrams", "--check-d1", "--samples", "1e3", "--nmax", "2",
+     "--out", "d1.json"],
+    ["diagrams", "--check-d1", "--samples", "1e3", "--nmax", "2"],
+], ids=["validate", "validate-stdout", "rates", "rates-dump-matrix",
+        "spectrum", "diffusion", "psi", "psi-decay-check", "simulate",
+        "simulate-dump-paths", "diagrams", "diagrams-stdout"])
+def test_outputs_carry_their_manifest_and_rerun_identically(
+        tmp_path, config_path, monkeypatch, capsys, argv):
+    from latticediff import cli
+
+    if argv[0] != "diagrams":
+        argv = [argv[0], "--config", config_path, *argv[1:]]
+    runs = []
+    for name in ("a", "b"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert cli.main(["--threads", "2", *argv]) == 0
+        files = {p.name: p.read_text() for p in run_dir.iterdir()}
+        manifests = [n for n in files if n.endswith(".manifest.json")]
+        manifest = json.loads(files.pop(manifests[0])) if manifests else None
+        runs.append((files, capsys.readouterr().out, manifests, manifest))
+    (files, stdout, manifests, manifest), again = runs
+    # data files and stdout are byte-identical; the manifest holds wall time
+    assert (files, stdout) == again[:2]
+    if "--out" not in argv:
+        assert files == {} and manifests == []
+        assert isinstance(json.loads(stdout), dict)
+        return
+    out = argv[argv.index("--out") + 1]
+    assert stdout == ""
+    assert manifests == [out.rsplit(".", 1)[0] + ".manifest.json"]
+    assert manifest["outputs"][0] == out
+    assert sorted(manifest["outputs"]) == sorted(files)
+    for name, text in files.items():
+        stamp = (json.loads(text)["manifest_hash"] if name.endswith(".json")
+                 else text.splitlines()[0].removeprefix("# manifest: "))
+        assert stamp == manifest["manifest_hash"], name
+
+
+def test_failed_matrix_dump_writes_no_output(tmp_path, config_path,
+                                             monkeypatch, capsys):
+    # every output is computed before the first one is written
+    from latticediff import cli
+    from latticediff.model import NumericError
+
+    def failing(*args, **kwargs):
+        raise NumericError("fiber assembly failed")
+
+    monkeypatch.setattr(cli, "assemble_fiber", failing)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["rates", "--config", config_path, "--out", "rates.json",
+                     "--dump-matrix", "p=0"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NumericError"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rates_and_matrix_dump(tmp_path, config_path):
@@ -305,6 +422,22 @@ def test_diagrams_divergent_kernel_exits_one_with_one_json_line(tmp_path):
     error = json.loads(lines[0])
     assert error["error"] == "PreconditionError"
     assert "inf" in error["message"]
+    assert not out.exists()
+
+
+def test_unresolved_kernel_norm_names_the_panel_budget(tmp_path):
+    # the norm converges (0.02004) but its kinks outrun the panel budget
+    from latticediff.diagrams import NORM_PANELS
+
+    out = tmp_path / "d1.json"
+    result = _run("diagrams", "--check-d1", "--k",
+                  "0.05*(1+t)**-3*abs(cos(t))", "--out", str(out))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "PreconditionError"
+    assert f"{NORM_PANELS} panels" in error["message"]
     assert not out.exists()
 
 
