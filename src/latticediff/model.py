@@ -207,33 +207,65 @@ class ModelConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _is_number(value):
+    """A JSON number, not a bool, that is finite as a float."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer literal past the float range
+        return False
+
+
+def _coupling(value):
+    """A coupling entry: a number, or exactly [re, im]."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(map(_is_number, parts)):
+        raise ValidationError("a coupling entry must be a finite number or "
+                              f"[re, im], got {value!r}")
+    return complex(*parts)
+
+
 def _couplings_from_json(raw):
     if not (isinstance(raw, list) and all(isinstance(r, list) for r in raw)):
         raise ValidationError(f"couplings must be a list of rows, got {raw!r}")
-    out = []
-    for row in raw:
-        vals = []
-        for v in row:
-            if isinstance(v, (list, tuple)):
-                vals.append(complex(v[0], v[1]))
-            else:
-                vals.append(complex(v))
-        out.append(vals)
-    return out
+    return [[_coupling(v) for v in row] for row in raw]
+
+
+def _value(data, key, default=None):
+    """data[key], or the default; a missing key without one is named."""
+    if default is None and key not in data:
+        raise ValidationError(f"required key {key!r} is missing")
+    return data.get(key, default)
 
 
 def _integer(data, key, default=None):
     """data[key], or the default, as a JSON integer: a float or a bool is
     refused, not truncated."""
-    value = data[key] if default is None else data.get(key, default)
+    value = _value(data, key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     return value
 
 
+def _real(data, key, default=None):
+    """data[key], or the default, as a float from a finite JSON number."""
+    value = _value(data, key, default)
+    if not _is_number(value):
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name):
+    """value, a JSON list of finite numbers, as a tuple of floats."""
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ValidationError(
+            f"{name} must be a list of finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _section(data, key, default=None):
     """data[key], or the default, as a JSON object."""
-    value = data[key] if default is None else data.get(key, default)
+    value = _value(data, key, default)
     if not isinstance(value, dict):
         raise ValidationError(f"{key} must be a JSON object, got {value!r}")
     return value
@@ -246,17 +278,20 @@ def model_from_dict(data):
     if not isinstance(data, dict):
         raise ValidationError(f"a config must be a JSON object, got {data!r}")
     dim = _integer(data, "dim")
-    beta = float(data["beta"])
+    beta = _real(data, "beta")
     disp = _section(data, "dispersion", {"kind": "nearest_neighbor"})
-    dispersion = DispersionSpec(
-        kind=disp.get("kind", "nearest_neighbor"),
-        coefficients=tuple(tuple(r) if isinstance(r, (list, tuple)) else (r,)
-                           for r in disp.get("coefficients", [])),
-    )
+    rows = disp.get("coefficients", [])
+    # one list per axis, or one flat list that DispersionSpec broadcasts
+    if isinstance(rows, list) and rows and isinstance(rows[0], list):
+        rows = tuple(_numbers(r, "a coefficients row") for r in rows)
+    else:
+        rows = _numbers(rows, "coefficients")
+    dispersion = DispersionSpec(kind=disp.get("kind", "nearest_neighbor"),
+                                coefficients=rows)
     spin_raw = _section(data, "spin")
     spin = SpinSystem(
-        levels=tuple(spin_raw["levels"]),
-        couplings=_couplings_from_json(spin_raw["couplings"]),
+        levels=_numbers(_value(spin_raw, "levels"), "levels"),
+        couplings=_couplings_from_json(_value(spin_raw, "couplings")),
     )
     bath = BathProfile.from_dict(_section(data, "bath"), beta=beta, dim=dim)
     grid_raw = _section(data, "grid", {})

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NumericError, ValidationError
+from .model import (NumericError, ValidationError, _numbers, _real,
+                    _value)
 from .sphere import plane_wave_average, surface_area
 
 
@@ -138,10 +139,11 @@ class BathProfile:
         kind = data.get("kind", "builtin_gaussian")
         if kind == "builtin_gaussian":
             return BathProfile(kind=kind, beta=beta, dim=dim,
-                               cutoff=float(data.get("cutoff", 2.0)))
-        return BathProfile(kind=kind, beta=beta, dim=dim,
-                           table_omega=tuple(data["omega"]),
-                           table_values=tuple(data["values"]))
+                               cutoff=_real(data, "cutoff", 2.0))
+        return BathProfile(
+            kind=kind, beta=beta, dim=dim,
+            table_omega=_numbers(_value(data, "omega"), "omega"),
+            table_values=_numbers(_value(data, "values"), "values"))
 
 
 @lru_cache(maxsize=32)

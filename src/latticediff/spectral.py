@@ -5,9 +5,9 @@ Gibbs-in-level, flat-in-momentum state; its top eigenvalue moves off zero
 quadratically in the fiber momentum p, and the (positive definite) matrix
 of that quadratic decay rate is the diffusion tensor.  Two independent
 routes compute it on the grid: finite differences of the tracked top
-eigenvalue, and the resolvent formula solved per Fourier mode, where the
-p = 0 fiber is one small level block.  The same per-mode formula with the
-exact sphere average gives the grid-free tensor (the `continuum` entry of
+eigenvalue, and the resolvent formula on the velocity's Fourier modes
++-m e_i, where the p = 0 fiber is one small level block per mode.  With
+the exact sphere average it gives the grid-free tensor (`continuum` in
 `diffusion.json`), which kinetic Monte Carlo estimates.
 
 Gaps, spectra and the Hessian work per Fourier sector of each fiber's
@@ -34,11 +34,6 @@ from .generator import (_fold, _grid_mode_blocks, _level_pair, _mode_blocks,
                         escape_rates)
 from .model import NumericError, dispersion_grad
 from .sphere import plane_wave_average
-
-
-class ConvergenceError(NumericError):
-    """The resolvent formula is not solvable: `diffusion_tensor_formula`
-    found a velocity row that is not orthogonal to the kernel."""
 
 
 class TrackingLossError(NumericError):
@@ -234,9 +229,9 @@ def _hessian_once(cfg, table, h):
     x = +-m e_i, and M(0) is block-diagonal over the modes: the term
     <d_i eps, (-M(0))^-1 d_j eps pi> pairs no mode of axis i with one of
     axis j.  The kicks and direction rules are also reflection symmetric
-    per axis, so lambda(p) is even in each p_j; the tests check that on
-    the fibers, and the diagonal against `diffusion_tensor_formula`, which
-    computes the full tensor its own way.
+    per axis, so lambda(p) is even in each p_j.  The tests check that on
+    the fibers, and the diagonal against `diffusion_tensor_formula`, whose
+    off-diagonal is 0 by the same mode argument.
     """
     def top(vec):
         block = _sectors(cfg, table, vec, zero_only=True)[0]
@@ -298,12 +293,25 @@ def diffusion_tensor_hessian(cfg, table=None):
     return result
 
 
+def _velocity_modes(cfg):
+    """The support of a cosine-series velocity: per axis, harmonic m and
+    sign, the mode sign m e_axis, where beta_axis = sign i m c_(axis, m) / 2.
+    Returns axis, m, sign and beta, of shape (d, 2 d n_harmonics)."""
+    coeffs = cfg.dispersion.per_axis(cfg.dim)
+    axis, m, sign = (a.ravel() for a in np.meshgrid(
+        np.arange(cfg.dim), np.arange(1, coeffs.shape[1] + 1), [1, -1],
+        indexing="ij"))
+    beta = np.zeros((cfg.dim, axis.size), dtype=complex)
+    beta[axis, np.arange(axis.size)] = 0.5j * sign * m * coeffs[axis, m - 1]
+    return axis, m, sign, beta
+
+
 def _resolvent_contraction(cfg, beta, blocks):
     """D_ij = 2 Re sum_x conj(beta_i(x)) beta_j(x) r(x), symmetrised.
 
     r(x) = 1^T (-A(x))^-1 pi is the level-summed resolvent of the mode
     block A(x) applied to the Gibbs level weights pi: one batched L x L
-    solve over all modes.  beta has shape (d, modes) and blocks
+    solve over the modes given.  beta has shape (d, modes) and blocks
     (modes, L, L); the caller leaves out the kernel mode x = 0.
     """
     gibbs = cfg.spin.gibbs_weights(cfg.beta)
@@ -321,43 +329,34 @@ def diffusion_tensor_formula(cfg, table=None):
         D_ij = 2 sum_{k,e} d_i eps(k) [(-M(0))^-1 (d_j eps pi)](k, e),
 
     the inverse taken off the kernel.  M(0) is block-diagonal over the
-    Fourier modes x of the grid, so with beta_i = ifftn(d_i eps) this is
-    the per-mode contraction of `_resolvent_contraction` over x != 0.
-    The velocity is odd in k, so beta_i(0) = 0 (solvability) holds exactly
-    up to roundoff; a flat dispersion gives beta = 0 and D = 0.
+    grid's Fourier modes, and the sampled velocity lives on the modes of
+    `_velocity_modes` mod N, where harmonics on one mode sum: a +-m pair
+    cancels at m = 0 or N / 2, so beta(0) = 0 (solvability) exactly.  Its
+    phase (-1)^m (the grid starts at k = -pi) is one sign per mode, as N
+    is even, so D omits it.  D is diagonal: no mode carries two axes.
     """
     if table is None:
         table = build_rate_table(cfg)
     d, n_axis = cfg.dim, cfg.grid.points_per_axis
-    grad = dispersion_grad(cfg.dispersion, cfg.grid_points(), dim=d)
-    beta = np.fft.ifftn(grad.T.reshape((d,) + (n_axis,) * d),
-                        axes=tuple(range(1, d + 1))).reshape(d, -1)
-    defect = np.abs(beta[:, 0]) > 1e-10 * np.linalg.norm(beta, axis=1)
-    if defect.any():
-        raise ConvergenceError(f"velocity rows {np.flatnonzero(defect).tolist()}"
-                               " are not orthogonal to the kernel")
-    blocks = _grid_mode_blocks(table, n_axis)
-    return _resolvent_contraction(cfg, beta[:, 1:], blocks[1:])
+    axis, m, sign, beta = _velocity_modes(cfg)
+    keep = m % n_axis != 0
+    modes, col = np.unique((sign * m % n_axis * n_axis ** (d - 1 - axis))[keep],
+                           return_inverse=True)
+    grid_beta = np.zeros((d, len(modes)), dtype=complex)
+    np.add.at(grid_beta, (slice(None), col), beta[:, keep])
+    return _resolvent_contraction(cfg, grid_beta,
+                                  _grid_mode_blocks(table, n_axis)[modes])
 
 
 def diffusion_tensor_continuum(cfg, table=None):
-    """Grid-free diffusion tensor D_inf of the same resolvent formula.
-
-    A cosine-series velocity lives on the position modes x = +-m e_i
-    alone, with beta_i(+-m e_i) = +-i m c_im / 2, and there a channel of
-    radius r transforms as the exact sphere average
-    plane_wave_average(d, r |x|) instead of a deposited kernel.  KMC keeps
+    """Grid-free diffusion tensor D_inf of the same resolvent formula, with
+    the exact sphere average plane_wave_average(d, r |x|) of a channel of
+    radius r on `_velocity_modes` in place of a deposited kernel.  KMC keeps
     the momentum continuous, so it estimates this tensor, which the grid
     tensor approaches at O(N^-2).
     """
     if table is None:
         table = build_rate_table(cfg)
-    d = cfg.dim
-    coeffs = cfg.dispersion.per_axis(d)
-    axis, m, sign = (a.ravel() for a in np.meshgrid(
-        np.arange(d), np.arange(1, coeffs.shape[1] + 1), [1, -1],
-        indexing="ij"))
-    beta = np.zeros((d, axis.size), dtype=complex)
-    beta[axis, np.arange(axis.size)] = 0.5j * sign * m * coeffs[axis, m - 1]
-    blocks = _mode_blocks(table, lambda r: plane_wave_average(d, r * m))
+    _, m, _, beta = _velocity_modes(cfg)
+    blocks = _mode_blocks(table, lambda r: plane_wave_average(cfg.dim, r * m))
     return _resolvent_contraction(cfg, beta, blocks)

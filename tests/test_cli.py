@@ -74,9 +74,13 @@ def test_non_integer_config_value_exits_two(tmp_path, small_cfg, path, value):
     assert path[-1] in error["message"]
 
 
+_MISSING = object()
+
+
 def _malformed(data, case):
-    """A copy of the config text with one section, value or shape broken;
-    1e400 is written as a literal, which JSON reads as inf."""
+    """A copy of the config text with one section, value or shape broken,
+    or a required key left out; 1e400 is written as a literal, which JSON
+    reads as inf, and 10^400 as an integer literal past the float range."""
     if case == "top-level-list":
         return json.dumps([data])
     path, value = {
@@ -92,18 +96,42 @@ def _malformed(data, case):
         "coefficient-overflow": (("dispersion",),
                                  {"kind": "cosine_series",
                                   "coefficients": ["@inf@"]}),
+        "coefficients-number": (("dispersion",),
+                                {"kind": "cosine_series", "coefficients": 3}),
+        "levels-number": (("spin", "levels"), 5),
+        "levels-nested": (("spin", "levels"), [[0, 1], [1, 2]]),
+        "beta-list": (("beta",), [1]),
+        "omega-number": (("bath",), {"kind": "tabulated", "omega": 1,
+                                     "values": [0.0, 1.0]}),
+        "coupling-short": (("spin", "couplings", 0, 1), [1.0]),
+        "coupling-nested": (("spin", "couplings", 0, 1), [[1, 2], 3]),
+        "coupling-triple": (("spin", "couplings", 0, 1), [1, 0, 0]),
+        "coupling-overflow": (("spin", "couplings", 0, 1), "@inf@"),
+        "beta-integer-overflow": (("beta",), "@huge@"),
+        "spin-missing": (("spin",), _MISSING),
+        "levels-missing": (("spin", "levels"), _MISSING),
+        "omega-missing": (("bath",), {"kind": "tabulated",
+                                      "values": [0.0, 1.0]}),
     }[case]
     node = data
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
-    return json.dumps(data).replace('"@inf@"', "1e400")
+    if value is _MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(data).replace('"@inf@"', "1e400").replace(
+        '"@huge@"', "1" + "0" * 400)
 
 
 @pytest.mark.parametrize("case", [
     "top-level-list", "bath-list", "dispersion-string", "grid-string",
     "spin-string", "couplings-vector", "beta-overflow", "cutoff-overflow",
-    "cutoff-negative", "cutoff-zero", "coefficient-overflow"])
+    "cutoff-negative", "cutoff-zero", "coefficient-overflow",
+    "coefficients-number", "levels-number", "levels-nested", "beta-list",
+    "omega-number", "coupling-short", "coupling-nested", "coupling-triple",
+    "coupling-overflow", "beta-integer-overflow", "spin-missing",
+    "levels-missing", "omega-missing"])
 def test_malformed_config_exits_two(tmp_path, small_cfg, case):
     # refused when the config is read: no traceback, no warning, no report
     bad = tmp_path / "bad.json"
@@ -113,7 +141,12 @@ def test_malformed_config_exits_two(tmp_path, small_cfg, case):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ValidationError"
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError"
+    if case.endswith("-missing"):
+        # the message names the key, not only its bare repr
+        key = case.split("-")[0]
+        assert key in error["message"] and error["message"] != repr(key)
 
 
 def test_missing_config_exits_two(tmp_path):

@@ -150,6 +150,17 @@ def test_json_roundtrip(tmp_path, ref1d):
     assert loaded.config_hash() == ref1d.config_hash()
 
 
+def test_flat_coefficient_list_is_broadcast_to_every_axis():
+    # one flat list is one row of harmonics for all axes, as the schema
+    # says, not one single-harmonic row per entry
+    from latticediff.model import model_from_dict
+
+    data = presets.reference_2d().to_dict()
+    data["dispersion"] = {"kind": "cosine_series", "coefficients": [1.0, 0.5]}
+    rows = model_from_dict(data).dispersion.per_axis(2)
+    assert rows.tolist() == [[1.0, 0.5], [1.0, 0.5]]
+
+
 @pytest.mark.parametrize("name", ["reference_1d", "reference_2d"])
 def test_reference_configs_match_presets(name):
     # the CLI and the benchmark read these files; the tests build the presets

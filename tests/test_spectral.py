@@ -425,6 +425,15 @@ def test_constant_dispersion_gives_zero_tensor(flat1d):
     assert np.max(np.abs(diffusion_tensor_continuum(flat1d, table))) == 0.0
 
 
+def test_velocity_that_vanishes_on_the_grid_gives_zero_tensor():
+    # sin(N k) is 0 at every grid point, so its +-N pair cancels on mode 0;
+    # the all-mode route read a roundoff beta(0) there and raised
+    cfg = dataclasses.replace(
+        reference_1d(n_k=4), dispersion=DispersionSpec(
+            "cosine_series", coefficients=((0.0, 0.0, 0.0, 1.0),)))
+    assert diffusion_tensor_formula(cfg).tolist() == [[0.0]]
+
+
 def test_velocity_rows_orthogonal_to_kernel(ref1d):
     # solvability of the resolvent formula: the mean velocity in the
     # stationary state Gibbs x uniform vanishes
@@ -453,3 +462,43 @@ def test_grid_tensor_converges_to_continuum_second_order():
         errors.append(abs(grid[0, 0] - continuum[0, 0]))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert all(3.0 <= r <= 5.5 for r in ratios), ratios
+
+
+def _ifftn_formula(cfg, table):
+    """The grid tensor solved on every mode x != 0 of the N^d grid, with
+    beta_i = ifftn(d_i eps) of the sampled velocity: the reference for the
+    solve on the support of beta alone."""
+    d, n_axis = cfg.dim, cfg.grid.points_per_axis
+    grad = dispersion_grad(cfg.dispersion, cfg.grid_points(), dim=d)
+    beta = np.fft.ifftn(grad.T.reshape((d,) + (n_axis,) * d),
+                        axes=tuple(range(1, d + 1))).reshape(d, -1)[:, 1:]
+    blocks = _grid_mode_blocks(table, n_axis)[1:]
+    gibbs = cfg.spin.gibbs_weights(cfg.beta)
+    rhs = np.broadcast_to(gibbs[:, None], (len(blocks), len(gibbs), 1))
+    r = np.linalg.solve(-blocks, rhs)[..., 0].sum(axis=1)
+    return 2.0 * np.einsum("ix,jx,x->ij", beta.conj(), beta, r).real
+
+
+def _aliased(dim, n_k, seed):
+    """Random cosine rows with harmonics 1 .. N + 1 on reference_2d's levels
+    and bath: harmonics N / 2 and N cancel in pairs on the grid, and N + 1
+    lands on the mode of harmonic 1."""
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, n_k + 1))
+    return dataclasses.replace(
+        _lifted(dim, n_k, m_dir=8),
+        dispersion=DispersionSpec("cosine_series",
+                                  coefficients=tuple(map(tuple, rows))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _aliased(1, 6, 1), lambda: _aliased(1, 8, 2),
+    lambda: _aliased(2, 6, 3), lambda: _aliased(2, 8, 4),
+    lambda: _aliased(3, 6, 5), lambda: _aliased(3, 8, 6),
+    lambda: _lifted(3, 8),
+], ids=["1d-6", "1d-8", "2d-6", "2d-8", "3d-6", "3d-8", "lifted-3d-8"])
+def test_formula_meets_the_all_mode_solve_on_aliased_harmonics(make):
+    cfg = make()
+    table = build_rate_table(cfg)
+    ref = _ifftn_formula(cfg, table)
+    formula = diffusion_tensor_formula(cfg, table)
+    assert np.abs(formula - ref).max() <= 1e-14 * np.abs(ref).max()
