@@ -158,7 +158,7 @@ def _rounds(proc, rng, x, k, e, t_rem):
 
 def _philox(seed, stream):
     return np.random.Generator(np.random.Philox(key=np.array(
-        [seed % (1 << 64), stream], dtype=np.uint64)))
+        [seed, stream], dtype=np.uint64)))
 
 
 def _simulate_block(proc, n, t_final, seed, block_index, probes):

@@ -168,6 +168,8 @@ class ModelConfig:
             raise ValidationError("dim must be >= 1")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValidationError("beta must be finite and strictly positive")
+        if not 0 <= self.rng_seed < 1 << 64:
+            raise ValidationError("rng_seed must be in [0, 2**64)")
 
     def axis(self):
         """Grid values along one axis: -pi + 2 pi j / N, j = 0..N-1."""

@@ -186,6 +186,14 @@ def _omega_nodes(profile, phase_rate, refine=1):
     return nodes, weights
 
 
+def _mirrored_average(d, r, nodes):
+    """plane_wave_average(d, outer(r, nodes)) for the mirrored nodes of
+    `_omega_nodes`: the average is even, so only the positive half is
+    evaluated, bit for bit the same."""
+    half = plane_wave_average(d, np.multiply.outer(r, nodes[len(nodes) // 2:]))
+    return np.concatenate([half[..., ::-1], half], axis=-1)
+
+
 def _psi_batch_raw(profile, xs, ts, refine):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -195,7 +203,7 @@ def _psi_batch_raw(profile, xs, ts, refine):
     wpsi = weights * profile.psi_hat(nodes)
     d = xs.shape[1]
     unique_r, inverse = np.unique(rnorm, return_inverse=True)
-    sphere = plane_wave_average(d, np.multiply.outer(unique_r, nodes))
+    sphere = _mirrored_average(d, unique_r, nodes)
     out = np.empty(len(ts), dtype=complex)
     chunk = max(1, int(2e6 / max(len(nodes), 1)))
     for lo in range(0, len(ts), chunk):
@@ -270,7 +278,7 @@ def _cumulative_halfline(profile, x, a, refine):
     r = float(np.linalg.norm(x_arr))
     nodes, weights = _omega_nodes(profile, anchors[-1] + r, refine)
     coef = (weights * profile.psi_hat(nodes)
-            * plane_wave_average(len(x_arr), r * nodes))
+            * _mirrored_average(len(x_arr), r, nodes))
     phase = np.multiply.outer(anchors, nodes + a)
     kernel = anchors[:, None] * np.exp(0.5j * phase) * np.sinc(phase / (2 * math.pi))
     return anchors, kernel @ coef, len(nodes)

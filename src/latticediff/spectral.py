@@ -19,15 +19,15 @@ The curve and the gaps read dense sector spectra, halved under the signed
 inversion of the non-free axes when the harmonics are odd
 (`generator._fold`).  The Hessian (unfolded x_F = 0 sectors of the center
 and the 2d axis points, as D is diagonal and h^-2 would amplify the fold's
-~1e-15 defect) and the stationary state use `_two_sided_rayleigh`.
+~1e-15 defect) and the stationary state use `_two_sided_rayleigh`, a
+Rayleigh iteration whose shifted solves are `np.linalg.solve` on the
+matrix and on its transpose: numpy's LAPACK, not scipy.linalg.
 """
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .generator import (_fold, _grid_mode_blocks, _level_pair, _mode_blocks,
                         _sectors, assemble_fiber, build_rate_table,
@@ -71,15 +71,13 @@ def _two_sided_rayleigh(matrix, sigma0, v0, w0):
     sigma = float(sigma0)
     resid = math.inf
     for _ in range(60):
-        with warnings.catch_warnings():
+        shifted = m - sigma * eye
+        try:
+            v_new = np.linalg.solve(shifted, v)
+            w_new = np.linalg.solve(shifted.T, w)
+        except np.linalg.LinAlgError:
             # an exactly singular shift (A(0) at sigma = 0) is nudged below
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                lu = lu_factor(m - sigma * eye)
-                v_new = lu_solve(lu, v)
-                w_new = lu_solve(lu, w, trans=1)
-            except (LinAlgWarning, ValueError):
-                v_new = np.full(n, np.nan)
+            v_new = np.full(n, np.nan)
         if not np.all(np.isfinite(v_new)):
             sigma += 1e-12 * scale
             continue

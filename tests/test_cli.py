@@ -56,9 +56,13 @@ def test_validate_bad_config_exits_two(tmp_path, small_cfg):
     (("grid", "points_per_axis"), 16.5),
     (("grid", "sphere_nodes"), 2.5),
     (("rng_seed",), 3.7),
-], ids=["dim", "dim-bool", "points-per-axis", "sphere-nodes", "rng-seed"])
+    (("rng_seed",), -1),
+    (("rng_seed",), 2**64),
+], ids=["dim", "dim-bool", "points-per-axis", "sphere-nodes", "rng-seed",
+        "rng-seed-negative", "rng-seed-2**64"])
 def test_non_integer_config_value_exits_two(tmp_path, small_cfg, path, value):
-    # a non-integer is refused, not truncated to a config that then runs
+    # a non-integer, or a seed outside [0, 2**64), is refused, not truncated
+    # or reduced to a config that then runs
     data = small_cfg.to_dict()
     node = data
     for key in path[:-1]:

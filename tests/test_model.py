@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -73,6 +74,14 @@ def test_inversion_symmetry_exact_on_grid(ref1d):
 def test_grid_spec_rejects_odd_count():
     with pytest.raises(ValidationError):
         GridSpec(points_per_axis=127)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_model_config_refuses_rng_seed_outside_uint64(ref1d, seed):
+    # Philox takes a 64-bit key: nothing is reduced modulo 2**64
+    with pytest.raises(ValidationError, match="rng_seed"):
+        dataclasses.replace(ref1d, rng_seed=seed)
+    assert dataclasses.replace(ref1d, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
 
 
 def _model(levels, couplings, dim=1):

@@ -1,7 +1,10 @@
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import latticediff
+from latticediff.presets import reference_2d
 
 
 def test_every_export_resolves():
@@ -31,3 +34,25 @@ def test_diagrams_run_leaves_out_scipy_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_cli_runs_leave_out_scipy_special_and_linalg(tmp_path):
+    # sphere's Bessel averages and polar rule and spectral's shifted solves
+    # are numpy: a diffusion run on the 2-d reference and a 3-d rates run
+    # (Gauss-Jacobi direction nodes) load neither scipy module
+    doc = reference_2d(n_k=4, m_dir=8).to_dict()
+    doc["dim"] = 3
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(doc))
+    ref2d = Path(__file__).resolve().parents[1] / "configs" / "reference_2d.json"
+    runs = [["diffusion", "--config", str(ref2d), "--out",
+             str(tmp_path / "diffusion.json")],
+            ["rates", "--config", str(cube), "--out",
+             str(tmp_path / "rates.json")]]
+    code = ("import sys, latticediff.cli as cli; "
+            f"codes = [cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, [m for m in ('scipy.special', 'scipy.linalg') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0] []"

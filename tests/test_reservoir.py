@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import hyp0f1, jv, roots_jacobi
 
 from latticediff import reservoir
 from latticediff.model import SpinSystem
@@ -121,6 +122,60 @@ def test_sphere_average_matches_bessel_closed_form(d, reference):
     assert plane_wave_average(d, 0.0) == surface_area(d)
     rs = np.array([-6.0, 0.0, 6.0])
     assert np.array_equal(plane_wave_average(d, rs), plane_wave_average(d, -rs))
+
+
+def _scipy_closed_form(d, r):
+    """(2 pi)^{d/2} J_nu(r) / r^nu, nu = d/2 - 1, by scipy: jv from r = 1
+    on; below, jv(nu, r) / r^nu is up to 1.1e-14 of |S^{d-1}| off (nu = 5/2
+    near r = 5e-12, against 30-digit values), so there the same function as
+    its series, |S^{d-1}| 0F1(; d/2; -r^2/4)."""
+    nu, big = d / 2.0 - 1.0, np.maximum(r, 1.0)
+    return np.where(r < 1.0, surface_area(d) * hyp0f1(d / 2.0, -0.25 * r * r),
+                    (2.0 * math.pi) ** (d / 2.0) * jv(nu, big) / big ** nu)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_sphere_average_matches_scipy_bessel(d):
+    # every region of the numpy Bessel function: series, Miller, Hankel
+    rs = np.concatenate([[0.0], np.logspace(-12, 0, 241),
+                         np.linspace(0.0, 60.0, 6001),
+                         np.random.default_rng(d).uniform(0.0, 1000.0, 10**5)])
+    value = plane_wave_average(d, rs)
+    err = np.max(np.abs(value - _scipy_closed_form(d, rs)))
+    assert err <= 4e-15 * surface_area(d)
+    assert np.array_equal(plane_wave_average(d, -rs), value)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_polar_rule_matches_scipy_gauss_jacobi(d):
+    for order in [*range(1, 65), 664]:
+        eta, w = polar_rule(d, order)
+        eta_ref, w_ref = roots_jacobi(order, (d - 3) / 2.0, (d - 3) / 2.0)
+        assert np.max(np.abs(eta - eta_ref)) <= 1e-14, order
+        # at d = 3, order 664 roots_jacobi's own end weights are 3.8e-14 off
+        # 30-digit Newton values, which polar_rule's meet within 2.1e-16
+        tol = 4e-14 if (d, order) == (3, 664) else 1e-14
+        assert np.max(np.abs(w - w_ref)) <= tol, order
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_mirrored_sphere_average_is_the_full_node_evaluation(d, monkeypatch):
+    # psi and the half-line integral evaluate the even sphere average on the
+    # positive frequency nodes only; the result keeps every bit
+    prof = BathProfile("builtin_gaussian", beta=1.0, dim=d, cutoff=2.0)
+    xs = np.array([[0.0] * d, [2.0] + [0.0] * (d - 1), [1.5] * d])
+    ts = np.array([0.5, 4.0, 30.0])
+
+    def run():
+        return (psi_xt_batch(prof, xs, ts),
+                gain_coefficient_position(prof, 1.3, xs[2]))
+
+    mirrored = run()
+    monkeypatch.setattr(reservoir, "_mirrored_average", lambda d, r, nodes:
+                        plane_wave_average(d, np.multiply.outer(r, nodes)))
+    full = run()
+    assert np.array_equal(mirrored[0], full[0])
+    assert mirrored[1] == full[1]
 
 
 def test_hermiticity_in_time(bath4):

@@ -53,6 +53,13 @@ def test_stationary_momentum_marginal_uniform(ref1d, ref1d_block):
         assert np.max(np.abs(slab / slab.mean() - 1.0)) <= 1e-8
 
 
+def test_exactly_singular_shift_is_nudged():
+    # the LU of this generator has an exact zero pivot at shift 0: the
+    # solve raises LinAlgError and the iteration moves the shift off it
+    stat = stationary_state(np.array([[-1.0, 2.0], [1.0, -2.0]]))
+    assert np.max(np.abs(stat - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-14
+
+
 def test_left_null_vector_is_constant(ref1d_block):
     left = stationary_state(ref1d_block.matrix.T,
                             ansatz=np.ones(ref1d_block.size))
