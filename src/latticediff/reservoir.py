@@ -11,7 +11,10 @@ is evaluated by a truncated panel Gauss-Legendre rule in w, with the
 sphere integral in closed form (`sphere.plane_wave_average`).  Half-line
 time integrals of psi are exact in t at every frequency node, so the w
 rule is the only quadrature.  All refinement checks double the frequency
-panel count and compare.
+panel count and compare.  The one panel rule (`_omega_nodes`) is
+mirrored, so only w > 0 is evaluated (the sphere average is even and the
+w < 0 phases are conjugates), and e^{i t w} factors over its equal
+panels into e^{i t mid_j} e^{i t h x_g} (`_phases`).
 """
 
 import math
@@ -166,51 +169,53 @@ def _support_radius(profile):
 
 
 def _omega_nodes(profile, phase_rate, refine=1):
-    """Panel Gauss-Legendre nodes on [-R, R], split at the origin.
+    """Positive half of a mirrored panel Gauss-Legendre rule on [-R, R].
 
-    The split matters: the thermal branch switch leaves psi_hat only
-    piecewise smooth at 0.  Panel widths shrink with the expected phase
-    rate (|t| + |x| for the correlation integral).
+    The split at the origin matters: the thermal branch switch leaves
+    psi_hat only piecewise smooth at 0.  Panel widths shrink with the
+    expected phase rate (|t| + |x| for the correlation integral).  Returns
+    the nodes mid_j + h x_g (panel-major; -w weighs as w), their weights,
+    the midpoints mid_j and the offsets h x_g.
     """
     radius = profile.omega_support()
     width = PHASE_PER_PANEL / max(phase_rate, PHASE_PER_PANEL / radius)
-    per_side = max(4, int(math.ceil(radius / width))) * refine
-    edges = np.linspace(0.0, radius, per_side + 1)
+    panels = max(4, int(math.ceil(radius / width))) * refine
+    half = 0.5 * radius / panels
     gl_x, gl_w = _legendre_rule(PANEL_ORDER)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes_pos = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    weights_pos = (half[:, None] * gl_w[None, :]).ravel()
-    nodes = np.concatenate([-nodes_pos[::-1], nodes_pos])
-    weights = np.concatenate([weights_pos[::-1], weights_pos])
-    return nodes, weights
+    mid = half * np.arange(1, 2 * panels, 2)
+    offsets = half * gl_x
+    nodes = (mid[:, None] + offsets).ravel()
+    return nodes, np.tile(half * gl_w, panels), mid, offsets
 
 
-def _mirrored_average(d, r, nodes):
-    """plane_wave_average(d, outer(r, nodes)) for the mirrored nodes of
-    `_omega_nodes`: the average is even, so only the positive half is
-    evaluated, bit for bit the same."""
-    half = plane_wave_average(d, np.multiply.outer(r, nodes[len(nodes) // 2:]))
-    return np.concatenate([half[..., ::-1], half], axis=-1)
+def _phases(ts, mid, offsets):
+    """e^{i t w} at the nodes w = mid_j + offsets_g of `_omega_nodes`, as
+    e^{i t mid_j} e^{i t offsets_g}: exponentials per panel and offset."""
+    panel = np.exp(1j * np.multiply.outer(ts, mid))
+    inner = np.exp(1j * np.multiply.outer(ts, offsets))
+    return (panel[..., None] * inner[..., None, :]).reshape(len(ts), -1)
 
 
 def _psi_batch_raw(profile, xs, ts, refine):
+    """psi on the w > 0 nodes, with w+- = weight psi_hat(+-w): each adds
+    average(|x| w) ((w+ + w-) cos tw + i (w+ - w-) sin tw)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     rnorm = np.linalg.norm(xs, axis=1)
     phase_rate = float(np.max(np.abs(ts) + rnorm))
-    nodes, weights = _omega_nodes(profile, phase_rate, refine)
-    wpsi = weights * profile.psi_hat(nodes)
-    d = xs.shape[1]
+    nodes, weights, mid, offsets = _omega_nodes(profile, phase_rate, refine)
+    plus = weights * profile.psi_hat(nodes)
+    minus = weights * profile.psi_hat(-nodes)
     unique_r, inverse = np.unique(rnorm, return_inverse=True)
-    sphere = _mirrored_average(d, unique_r, nodes)
+    sphere = plane_wave_average(xs.shape[1], np.multiply.outer(unique_r, nodes))
     out = np.empty(len(ts), dtype=complex)
-    chunk = max(1, int(2e6 / max(len(nodes), 1)))
+    chunk = max(1, int(2e6 / len(nodes)))
     for lo in range(0, len(ts), chunk):
-        sl = slice(lo, min(lo + chunk, len(ts)))
-        phase = np.exp(1j * np.multiply.outer(ts[sl], nodes))
-        out[sl] = (sphere[inverse[sl]] * phase) @ wpsi
-    return out, len(nodes)
+        sl = slice(lo, lo + chunk)
+        terms = _phases(ts[sl], mid, offsets)
+        terms *= sphere[inverse[sl]]
+        out[sl] = terms.real @ (plus + minus) + 1j * (terms.imag @ (plus - minus))
+    return out, 2 * len(nodes)
 
 
 def psi_xt_batch(profile, xs, ts, check=True):
@@ -232,8 +237,9 @@ def psi_xt_batch(profile, xs, ts, check=True):
 
 @lru_cache(maxsize=64)
 def _zero_point_scale(profile):
-    nodes, weights = _omega_nodes(profile, 1.0)
-    return float(weights @ profile.psi_hat(nodes)) * surface_area(profile.dim)
+    nodes, weights, _, _ = _omega_nodes(profile, 1.0)
+    both = profile.psi_hat(nodes) + profile.psi_hat(-nodes)
+    return float(weights @ both) * surface_area(profile.dim)
 
 
 def _check_refinement(profile, fine, coarse, rel_tol, n_terms, what):
@@ -266,6 +272,8 @@ def _cumulative_halfline(profile, x, a, refine):
     rule): with u = omega + a, int_0^T e^{i u t} dt = T e^{i u T/2}
     sinc(u T / 2 pi).  Only the omega rule is a quadrature; its panels are
     sized for the phase rate T_max + |x|, as for psi(x, T_max) itself.
+    e^{i u T/2} is factored per panel and conjugated for omega < 0; the
+    sinc keeps the exact u, as the factored phase cancels near omega = -a.
     Returns (anchors T_j, partial integral values, number of omega
     nodes).  Anchors are spaced by half an oscillation period of the
     combined integrand so the caller can average the tail out; for |a| ~ 0
@@ -276,12 +284,14 @@ def _cumulative_halfline(profile, x, a, refine):
     anchors = TAIL_HEAD + stride * np.arange(TAIL_AVERAGES + 1)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(x_arr))
-    nodes, weights = _omega_nodes(profile, anchors[-1] + r, refine)
-    coef = (weights * profile.psi_hat(nodes)
-            * _mirrored_average(len(x_arr), r, nodes))
-    phase = np.multiply.outer(anchors, nodes + a)
-    kernel = anchors[:, None] * np.exp(0.5j * phase) * np.sinc(phase / (2 * math.pi))
-    return anchors, kernel @ coef, len(nodes)
+    nodes, weights, mid, offsets = _omega_nodes(profile, anchors[-1] + r, refine)
+    coef = weights * plane_wave_average(len(x_arr), r * nodes)
+    phase = _phases(0.5 * anchors, mid, offsets)
+    sinc = [np.sinc(np.multiply.outer(anchors, u) / (2 * math.pi))
+            for u in (a + nodes, a - nodes)]
+    partials = ((phase * sinc[0]) @ (coef * profile.psi_hat(nodes))
+                + (phase.conj() * sinc[1]) @ (coef * profile.psi_hat(-nodes)))
+    return anchors, anchors * np.exp(0.5j * a * anchors) * partials, 2 * len(nodes)
 
 
 def half_line_fourier(profile, x, a):

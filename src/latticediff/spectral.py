@@ -188,7 +188,7 @@ def spectral_gaps(cfg, table=None):
     p_large = [s * axis for s in (math.pi / 2, 3 * math.pi / 4, math.pi)]
 
     coherence = {a: coherence_top(table, a)
-                 for a in np.unique([c.bohr for c in table.channels])}
+                 for a in sorted({c.bohr for c in table.channels})}
     coh_max = max(coherence.values()) if coherence else -math.inf
 
     points = perron_curve(cfg, table, p_small)

@@ -39,7 +39,8 @@ def test_diagrams_run_leaves_out_scipy_integrate_and_optimize():
 def test_cli_runs_leave_out_scipy_special_and_linalg(tmp_path):
     # sphere's Bessel averages and polar rule and spectral's shifted solves
     # are numpy: a diffusion run on the 2-d reference and a 3-d rates run
-    # (Gauss-Jacobi direction nodes) load neither scipy module
+    # (Gauss-Jacobi direction nodes) load neither scipy module, nor
+    # numpy.ma, which a plain np.unique imports
     doc = reference_2d(n_k=4, m_dir=8).to_dict()
     doc["dim"] = 3
     cube = tmp_path / "cube.json"
@@ -51,7 +52,7 @@ def test_cli_runs_leave_out_scipy_special_and_linalg(tmp_path):
              str(tmp_path / "rates.json")]]
     code = ("import sys, latticediff.cli as cli; "
             f"codes = [cli.main(argv) for argv in {runs!r}]; "
-            "print(codes, [m for m in ('scipy.special', 'scipy.linalg') "
+            "print(codes, [m for m in ('scipy.special', 'scipy.linalg', 'numpy.ma') "
             "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout

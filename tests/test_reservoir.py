@@ -100,7 +100,7 @@ def test_builtin_rejects_bad_parameters():
 def test_origin_value_is_sphere_times_frequency_integral(bath4):
     # independent oracle: 1d quadrature of psi_hat * exp(i w t) over the support
     t = 2.3
-    nodes, weights = _omega_nodes(bath4, abs(t), refine=2)
+    nodes, weights = _full_rule(bath4, abs(t), refine=2)
     oracle = surface_area(4) * np.sum(
         weights * bath4.psi_hat(nodes) * np.exp(1j * nodes * t))
     value = psi_xt(bath4, [0, 0, 0, 0], t)
@@ -158,24 +158,53 @@ def test_polar_rule_matches_scipy_gauss_jacobi(d):
         assert np.max(np.abs(w - w_ref)) <= tol, order
 
 
+def _full_rule(profile, phase_rate, refine):
+    """The mirrored frequency rule on [-R, R], every node listed."""
+    nodes, weights, _, _ = _omega_nodes(profile, phase_rate, refine)
+    return (np.concatenate([-nodes[::-1], nodes]),
+            np.concatenate([weights[::-1], weights]))
+
+
+def _direct_psi(profile, xs, ts, refine):
+    """sum_w weight psi_hat(w) average(|x| w) e^{i w t} over every node,
+    with one complex exponential per (t, node)."""
+    r = np.linalg.norm(xs, axis=1)
+    nodes, weights = _full_rule(profile, np.max(np.abs(ts) + r), refine)
+    terms = (plane_wave_average(xs.shape[1], np.multiply.outer(r, nodes))
+             * np.exp(1j * np.multiply.outer(ts, nodes)))
+    return terms @ (weights * profile.psi_hat(nodes))
+
+
+def _direct_halfline(profile, x, a, anchors, refine):
+    """The half-line partials with the kernel T e^{i u T/2} sinc(u T/2 pi),
+    u = w + a, taken node by node."""
+    r = float(np.linalg.norm(x))
+    nodes, weights = _full_rule(profile, anchors[-1] + r, refine)
+    phase = np.multiply.outer(anchors, nodes + a)
+    kernel = anchors[:, None] * np.exp(0.5j * phase) * np.sinc(phase / (2 * math.pi))
+    return kernel @ (weights * profile.psi_hat(nodes)
+                     * plane_wave_average(len(x), r * nodes))
+
+
 @pytest.mark.parametrize("d", [1, 2, 4])
-def test_mirrored_sphere_average_is_the_full_node_evaluation(d, monkeypatch):
-    # psi and the half-line integral evaluate the even sphere average on the
-    # positive frequency nodes only; the result keeps every bit
+def test_factored_phases_meet_the_direct_node_sum(d):
+    # psi sums the positive nodes with phases factored per panel and the
+    # w < 0 half by conjugation; the half-line partials factor e^{i u T/2}
     prof = BathProfile("builtin_gaussian", beta=1.0, dim=d, cutoff=2.0)
-    xs = np.array([[0.0] * d, [2.0] + [0.0] * (d - 1), [1.5] * d])
-    ts = np.array([0.5, 4.0, 30.0])
-
-    def run():
-        return (psi_xt_batch(prof, xs, ts),
-                gain_coefficient_position(prof, 1.3, xs[2]))
-
-    mirrored = run()
-    monkeypatch.setattr(reservoir, "_mirrored_average", lambda d, r, nodes:
-                        plane_wave_average(d, np.multiply.outer(r, nodes)))
-    full = run()
-    assert np.array_equal(mirrored[0], full[0])
-    assert mirrored[1] == full[1]
+    rng = np.random.default_rng(d)
+    axes = rng.normal(size=(200, d))
+    xs = axes / np.linalg.norm(axes, axis=1, keepdims=True) * rng.uniform(0, 50, (200, 1))
+    xs[:20] = 0.0
+    ts = rng.uniform(-200.0, 200.0, 200)
+    scale = abs(_direct_psi(prof, np.zeros((1, d)), np.zeros(1), 2)[0])
+    err = np.max(np.abs(psi_xt_batch(prof, xs, ts) - _direct_psi(prof, xs, ts, 2)))
+    assert err <= 1e-14 * scale
+    for a in (0.0, 0.1, -1.0, -1.3, 2.5):
+        for x in (np.zeros(d), np.array([2.0, -1.0, 0.0, 0.0])[:d]):
+            anchors, partials, _ = _cumulative_halfline(prof, x, a, 1)
+            oracle = _direct_halfline(prof, x, a, anchors, 1)
+            err = np.max(np.abs(partials - oracle))
+            assert err <= 1e-13 * np.max(np.abs(partials)), (a, x)
 
 
 def test_hermiticity_in_time(bath4):
