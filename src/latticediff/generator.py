@@ -227,6 +227,8 @@ def _grid_mode_blocks(table, n_axis):
         k_hat = np.fft.fftn(_deposit_kernel(
             radius, table.node_array, table.weight_array, n_axis,
             table.dim))
+        # |S^{d-1}| as in the escape rates, not FFT-rounded: A(0) sums to 0
+        k_hat.flat[0] = surface_area(table.dim)
         neg = -np.arange(n_axis) % n_axis
         defect = max(np.abs(k_hat - k_hat.take(neg, axis=i)).max()
                      for i in range(table.dim))
@@ -285,6 +287,21 @@ def _sectors(cfg, table, p, zero_only=False):
     return stack.reshape(len(blocks), n_lvl * n_rest, n_lvl * n_rest)
 
 
+def _inversion(n_axis, n_rest):
+    """Modes x of n_rest axes, (n_rest, N^n_rest) in C order; index of -x."""
+    x = np.indices((n_axis,) * n_rest).reshape(n_rest, n_axis ** n_rest)
+    return x, (-x % n_axis).T @ n_axis ** np.arange(n_rest - 1, -1, -1)
+
+
+def _left_map(cfg, table, p):
+    """T: v -> Pi^-1 J v, Pi = diag(Gibbs) on the levels, J: x_R -> -x_R.
+    A(x) Pi is symmetric (detailed balance), A(-x) = A(x) and the stencil
+    odd, so each sector B of M(p) has B^T T = T B: T v is v's left vector."""
+    gibbs = np.exp(-table.beta * np.asarray(table.levels))
+    neg = _inversion(cfg.grid.points_per_axis, len(_split_axes(cfg, p)[1]))[1]
+    return lambda v: (v.reshape(len(gibbs), -1)[:, neg] / gibbs[:, None]).ravel()
+
+
 def _fold(cfg, table, p):
     """`_sectors` of M(p) as the stacks to eigensolve, the tracked one first.
 
@@ -302,9 +319,7 @@ def _fold(cfg, table, p):
     rest = _split_axes(cfg, p)[1]
     if not rest or np.any(cfg.dispersion.per_axis(cfg.dim)[:, 1::2]):
         return [stack]
-    shape = (cfg.grid.points_per_axis,) * len(rest)
-    x = np.indices(shape).reshape(len(rest), -1)
-    neg = np.ravel_multi_index(-x % shape[0], shape)
+    x, neg = _inversion(cfg.grid.points_per_axis, len(rest))
     sign = (-1.0) ** x.sum(axis=0)
     idx = np.arange(neg.size)
     shift = neg.size * np.arange(len(table.levels))[:, None]

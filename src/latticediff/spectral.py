@@ -19,9 +19,8 @@ The curve and the gaps read dense sector spectra, halved under the signed
 inversion of the non-free axes when the harmonics are odd
 (`generator._fold`).  The Hessian (unfolded x_F = 0 sectors of the center
 and the 2d axis points, as D is diagonal and h^-2 would amplify the fold's
-~1e-15 defect) and the stationary state use `_two_sided_rayleigh`, a
-Rayleigh iteration whose shifted solves are `np.linalg.solve` on the
-matrix and on its transpose: numpy's LAPACK, not scipy.linalg.
+~1e-15 defect) and the stationary state use `_rayleigh`, one solve a
+sweep: by detailed balance a sector's left vector is Pi^-1 J v.
 """
 
 import math
@@ -29,9 +28,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .generator import (_fold, _grid_mode_blocks, _level_pair, _mode_blocks,
-                        _sectors, assemble_fiber, build_rate_table,
-                        escape_rates)
+from .generator import (_fold, _grid_mode_blocks, _left_map, _level_pair,
+                        _mode_blocks, _sectors, assemble_fiber,
+                        build_rate_table, escape_rates)
 from .model import NumericError, dispersion_grad
 from .sphere import plane_wave_average
 
@@ -47,50 +46,46 @@ class FDInconsistencyError(NumericError):
 def stationary_state(m00, ansatz=None):
     """Kernel vector of the population generator, normalized to total mass 1.
 
-    The right vector of `_two_sided_rayleigh` at shift 0, started from
-    `ansatz` (callers pass the Gibbs ansatz; ones by default) on the right
-    and ones, the exact left kernel of a Markov generator, on the left.
-    Raises TrackingLossError, a NumericError, if the iteration stalls.
+    The right vector of `_rayleigh` from `ansatz` (callers pass the Gibbs
+    ansatz; ones by default) with ones, the exact left kernel of a Markov
+    generator, as left vector.  Raises TrackingLossError if it stalls.
     """
     ones = np.ones(len(m00))
-    v = _two_sided_rayleigh(np.real(m00), 0.0,
-                            ones if ansatz is None else ansatz, ones)[1]
+    v = _rayleigh(np.real(m00), ones if ansatz is None else ansatz,
+                  lambda v: ones)[1]
     return v / v.sum()
 
 
-def _two_sided_rayleigh(matrix, sigma0, v0, w0):
-    """Track a real eigentriple (eig, right, left) near sigma0 from v0, w0."""
+def _rayleigh(matrix, v0, left):
+    """Real eigenpair (eig, right) near 0 from v0, one solve per sweep, at
+    the shift left(v) . A v / left(v) . v (`left`: right to left vector).
+    Converged on |A v - sigma v| alone, so a poor `left` only slows it.
+    TrackingLossError on a non-finite or ~0 denominator or after 60 sweeps.
+    """
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(len(m))
     scale = float(np.abs(m).max()) or 1.0
-    v = np.asarray(v0, dtype=float).copy()
-    v /= np.linalg.norm(v)
-    w = np.asarray(w0, dtype=float).copy()
-    w /= np.linalg.norm(w)
-    sigma = float(sigma0)
-    resid = math.inf
+    v, sigma, resid = np.asarray(v0, dtype=float), 0.0, math.inf
     for _ in range(60):
-        shifted = m - sigma * eye
         try:
-            v_new = np.linalg.solve(shifted, v)
-            w_new = np.linalg.solve(shifted.T, w)
-        except np.linalg.LinAlgError:
-            # an exactly singular shift (A(0) at sigma = 0) is nudged below
-            v_new = np.full(n, np.nan)
+            v_new = np.linalg.solve(m - sigma * eye, v)
+        except np.linalg.LinAlgError:  # exactly singular (A(0) at sigma 0)
+            v_new = np.full(len(v), np.nan)
         if not np.all(np.isfinite(v_new)):
             sigma += 1e-12 * scale
             continue
-        v = v_new / np.linalg.norm(v_new)
-        w = w_new / np.linalg.norm(w_new)
-        denom = w @ v
-        if abs(denom) < 1e-14:
-            raise TrackingLossError("left/right eigenvectors became orthogonal")
+        v = v_new / np.abs(v_new).max()  # a tiny shift overflows the 2-norm
+        v /= np.linalg.norm(v)
+        u = left(v)
+        denom = u @ v
+        if not abs(denom) > 1e-14 * np.linalg.norm(u):
+            raise TrackingLossError(f"left . right = {denom:.2e}: ~0 or "
+                                    "not finite")
         mv = m @ v
-        sigma = (w @ mv) / denom
+        sigma = (u @ mv) / denom
         resid = float(np.linalg.norm(mv - sigma * v))
         if resid <= 1e-13 * scale:
-            return float(sigma), v, w
+            return float(sigma), v
     raise TrackingLossError(
         f"eigenvalue iteration did not converge (residual {resid:.2e})"
     )
@@ -104,13 +99,12 @@ class FiberScanPoint:
     gap: float           # elevation of the tracked eigenvalue above the rest
 
 
-def _start_vectors(table, block):
-    """Right Gibbs x delta_{x=0}, left 1 x delta_{x=0}: the p = 0 kernel
-    pair in the level-major Fourier-mode basis of a sector `block`."""
-    v = np.zeros((2, len(table.levels), block.shape[0] // len(table.levels)))
-    v[0, :, 0] = np.exp(-table.beta * np.asarray(table.levels))
-    v[1, :, 0] = 1.0
-    return v.reshape(2, -1)
+def _start_vector(table, block):
+    """Gibbs x delta_{x=0}, the p = 0 kernel in the level-major Fourier-mode
+    basis of a sector `block`."""
+    v = np.zeros((len(table.levels), block.shape[0] // len(table.levels)))
+    v[:, 0] = np.exp(-table.beta * np.asarray(table.levels))
+    return v.ravel()
 
 
 def perron_curve(cfg, table, p_list):
@@ -233,8 +227,8 @@ def _hessian_once(cfg, table, h):
     """
     def top(vec):
         block = _sectors(cfg, table, vec, zero_only=True)[0]
-        start = _start_vectors(table, block)
-        return _two_sided_rayleigh(block, 0.0, *start)[0]
+        return _rayleigh(block, _start_vector(table, block),
+                         _left_map(cfg, table, vec))[0]
 
     center = top(np.zeros(cfg.dim))
     steps = h * np.eye(cfg.dim)
@@ -284,7 +278,10 @@ def diffusion_tensor_hessian(cfg, table=None):
         gap0 = -np.sort(np.linalg.eigvals(blocks).real, axis=None)[-2]
         v_max = np.abs(dispersion_grad(cfg.dispersion, cfg.grid_points(),
                                        dim=cfg.dim)).max()
-        result = _richardson(cfg, table, 1e-3 * gap0 / v_max)
+        h = 1e-3 * gap0 / v_max
+        if (h / 2) ** 2 < np.finfo(float).tiny:
+            raise FDInconsistencyError(f"retry step {h:.2e}: h^2 underflows")
+        result = _richardson(cfg, table, h)
     if result.richardson_defect > 1e-4:
         raise FDInconsistencyError("Hessian step-halving moved the tensor by "
                                    f"{result.richardson_defect:.2e} relative")
@@ -350,8 +347,9 @@ def diffusion_tensor_continuum(cfg, table=None):
     """Grid-free diffusion tensor D_inf of the same resolvent formula, with
     the exact sphere average plane_wave_average(d, r |x|) of a channel of
     radius r on `_velocity_modes` in place of a deposited kernel.  KMC keeps
-    the momentum continuous, so it estimates this tensor, which the grid
-    tensor approaches at O(N^-2).
+    the momentum continuous, so it estimates this tensor.  The grid tensor
+    approaches it irregularly in N, not as a clean N^-2, and in d >= 3 only
+    to the anisotropy floor of the direction rule (~1.5e-2 in 3-d, m = 16).
     """
     if table is None:
         table = build_rate_table(cfg)

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from latticediff.model import SpinSystem
 from latticediff.presets import reference_1d
 from latticediff.reservoir import psi_xt
 
@@ -309,6 +312,36 @@ def test_diffusion_json_has_all_methods(tmp_path, config_path):
     assert payload["kmc"][0][0] > 0
     assert payload["kmc_se"][0][0] > 0
     assert "manifest_hash" in payload
+
+
+def _weakly_coupled(tmp_path, small_cfg, w):
+    cfg = dataclasses.replace(small_cfg, spin=SpinSystem(
+        levels=(0.0, 1.0), couplings=((0.0, w), (w, 0.0))))
+    return _write_config(tmp_path, cfg)
+
+
+def test_weakly_coupled_hessian_meets_the_formula(tmp_path, small_cfg):
+    out = tmp_path / "D.json"
+    result = _run("diffusion", "--config",
+                  _weakly_coupled(tmp_path, small_cfg, 1e-20), "--out", str(out))
+    assert result.returncode == 0
+    payload = json.loads(out.read_text())
+    hess, formula = np.array(payload["hessian"]), np.array(payload["formula"])
+    assert np.abs(hess - formula).max() <= 1e-12 * np.abs(formula).max()
+
+
+def test_too_weak_coupling_exits_one_with_one_json_line(tmp_path, small_cfg):
+    # the Hessian's retry step 1e-3 gap0 / v_max scales as |W_01|^2: from
+    # |W_01| = 1e-75 on its square leaves the normal float range
+    out = tmp_path / "D.json"
+    result = _run("diffusion", "--config",
+                  _weakly_coupled(tmp_path, small_cfg, 1e-104), "--out",
+                  str(out))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FDInconsistencyError"
+    assert not out.exists()
 
 
 def test_simulate_reproducible_across_runs_and_threads(tmp_path, config_path):

@@ -212,6 +212,26 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _top(cfg, table, p, block):
+    """The tracked eigenvalue of a sector of M(p), as `_hessian_once` finds it."""
+    return spectral._rayleigh(block, spectral._start_vector(table, block),
+                              generator._left_map(cfg, table, p))[0]
+
+
+def _two_sided_rayleigh(block, v, w):
+    """The Rayleigh iteration `_rayleigh` replaced, as an oracle: the left
+    vector is iterated too, by a second solve with the transpose per sweep."""
+    sigma, eye = 0.0, np.eye(len(block))
+    for _ in range(60):
+        v = np.linalg.solve(block - sigma * eye, v)
+        w = np.linalg.solve((block - sigma * eye).T, w)
+        v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+        sigma = (w @ block @ v) / (w @ v)
+        if np.linalg.norm(block @ v - sigma * v) <= 1e-13 * np.abs(block).max():
+            return sigma
+    raise AssertionError("the two-sided oracle did not converge")
+
+
 def _lifted(dim, n_k, m_dir=16):
     """reference_2d's levels and bath on a d-dimensional lattice."""
     base = reference_2d(n_k=n_k, m_dir=m_dir)
@@ -250,17 +270,74 @@ def test_hessian_builds_only_axis_sectors_in_three_dimensions(monkeypatch):
     (lambda: reference_2d(n_k=8), (0.2, -0.1)),
 ], ids=["1d-axis", "2d-axis", "2d-oblique"])
 def test_curve_matches_rayleigh_on_the_zero_sector(make, p, monkeypatch):
-    # the curve reads dense sector spectra alone; the two-sided Rayleigh
-    # iteration it replaced is the reference on the x_F = 0 sector
+    # the curve reads dense sector spectra alone; the Rayleigh iteration it
+    # replaced is the reference on the x_F = 0 sector
     cfg = make()
     table = build_rate_table(cfg)
-    rayleigh = _spy(monkeypatch, "_two_sided_rayleigh")
+    rayleigh = _spy(monkeypatch, "_rayleigh")
     eig = perron_curve(cfg, table, [np.zeros(cfg.dim), p])[1].eigenvalue
     assert rayleigh == []
     block = generator._sectors(cfg, table, np.asarray(p))[0]
-    ref = spectral._two_sided_rayleigh(
-        block, 0.0, *spectral._start_vectors(table, block))[0]
+    ref = _top(cfg, table, np.asarray(p), block)
     assert abs(eig - ref) <= 1e-12 * np.abs(block).max()
+
+
+@pytest.mark.parametrize("make,p", [
+    (lambda: reference_1d(n_k=16), (0.3,)),
+    (lambda: reference_2d(n_k=8), (0.3, 0.0)),
+    (lambda: reference_2d(n_k=8), (0.2, -0.1)),
+    (lambda: reference_2d(m_dir=16), (0.3, -0.2)),
+    (lambda: _lifted(3, 8), (0.3, -0.2, 0.45)),
+    (lambda: _lifted(3, 8), (0.0, 0.4, 0.0)),
+    (reference_1d, (1e-3,)),
+    (reference_1d, (-5e-4,)),
+    (reference_2d, (0.0, 1e-3)),
+    (lambda: _lifted(4, 8), (0.0, 0.0, 5e-4, 0.0)),
+], ids=["1d", "2d-axis", "2d-oblique", "2d-m16", "3d-oblique", "3d-axis",
+        "1d-step", "1d-half-step", "2d-step", "4d-half-step"])
+def test_one_sided_rayleigh_meets_the_two_sided_oracle(make, p):
+    # the left vector Pi^-1 J v replaces the iterated one: the same top
+    cfg = make()
+    table = build_rate_table(cfg)
+    p = np.asarray(p)
+    block = generator._sectors(cfg, table, p, zero_only=True)[0]
+    start = spectral._start_vector(table, block)
+    ref = _two_sided_rayleigh(block, start, (start != 0).astype(float))
+    assert abs(_top(cfg, table, p, block) - ref) \
+        <= 1e-13 * np.abs(block).max()
+
+
+def test_each_rayleigh_sweep_solves_once(ref2d, monkeypatch):
+    # a sweep either nudges a singular shift (its solve raised or overflowed)
+    # or forms one quotient with one left vector: with one solve per sweep,
+    # solves = nudges + quotients, where the two-sided iteration made two
+    # solves per quotient
+    count = {"solves": 0, "nudges": 0, "quotients": 0}
+    solve, left_map = np.linalg.solve, spectral._left_map
+
+    def spy_solve(a, b):
+        count["solves"] += 1
+        try:
+            out = solve(a, b)
+        except np.linalg.LinAlgError:
+            count["nudges"] += 1
+            raise
+        count["nudges"] += not np.all(np.isfinite(out))
+        return out
+
+    def spy_left_map(*args):
+        left = left_map(*args)
+
+        def counted(v):
+            count["quotients"] += 1
+            return left(v)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(spectral, "_left_map", spy_left_map)
+    diffusion_tensor_hessian(ref2d, build_rate_table(ref2d))
+    assert count["quotients"] >= 10  # 5 points at each of 2 steps
+    assert count["solves"] == count["nudges"] + count["quotients"]
 
 
 def test_gaps_assemble_dense_fibers_only_on_the_small_ray(ref2d, monkeypatch):
@@ -312,14 +389,14 @@ def test_curve_and_gaps_eigensolve_folded_halves_in_2d(monkeypatch):
 @pytest.mark.parametrize("dim,n_k", [(3, 8), (4, 4), (3, 16), (4, 8)],
                          ids=["3d", "4d", "3d-16", "4d-8"])
 def test_hessian_matches_formula_beyond_two_dimensions(dim, n_k):
-    # d >= 3 is pinned at the roundoff floor of a second difference,
-    # eps * scale / h^2, not at the exact cancellations seen in 1-d and 2-d
+    # with A(0) an exact generator (k_hat(0) = |S^{d-1}|) the tracked top at
+    # p = 0 is ~0, not the ~5e-15 offset that h^-2 made a 1e-7 error in D
     cfg = _lifted(dim, n_k)
     table = build_rate_table(cfg)
     hess = diffusion_tensor_hessian(cfg, table).tensor
     formula = diffusion_tensor_formula(cfg, table)
     rel = np.max(np.abs(hess - formula)) / np.abs(formula).max()
-    assert rel <= 1e-6
+    assert rel <= 1e-12
 
 
 def _assert_reflection_symmetric(cfg, p):
@@ -331,8 +408,7 @@ def _assert_reflection_symmetric(cfg, p):
     block = generator._sectors(cfg, table, p)[0]
     assert block.shape[0] == len(table.levels) * n_k ** d  # no free axis
     scale = float(np.abs(block).max())
-    top = spectral._two_sided_rayleigh(
-        block, 0.0, *spectral._start_vectors(table, block))[0]
+    top = _top(cfg, table, p, block)
     for j in range(d):
         x = np.indices((n_k,) * d).reshape(d, -1)
         x[j] = -x[j] % n_k
@@ -344,8 +420,7 @@ def _assert_reflection_symmetric(cfg, p):
         mirror = generator._sectors(cfg, table, flipped)[0]
         assert np.abs(mirror - block[np.ix_(perm, perm)]).max() \
             <= 1e-13 * scale
-        mirror_top = spectral._two_sided_rayleigh(
-            mirror, 0.0, *spectral._start_vectors(table, mirror))[0]
+        mirror_top = _top(cfg, table, flipped, mirror)
         assert abs(mirror_top - top) <= 1e-13 * scale
 
 
