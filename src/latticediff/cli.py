@@ -22,15 +22,16 @@ from . import __version__
 from .model import (NumericError, ValidationError, ensure_valid,
                     model_from_json, validate_model)
 from .reservoir import check_subluminal_decay, psi_xt_batch
-from .generator import assemble_fiber, build_rate_table, escape_rates
+from .generator import (DenseSizeError, assemble_fiber, build_rate_table,
+                        escape_rates)
 from .spectral import (diffusion_tensor_continuum, diffusion_tensor_formula,
                        diffusion_tensor_hessian, perron_curve, spectral_gaps)
 from .kmc import check_ensemble_args, run_ensemble, sample_paths
 from .diagrams import (DiagramError, check_lemma_bounds, classify,
                        enumerate_pairings)
 
-CONFIG_ERRORS = (ValidationError, DiagramError, FileNotFoundError,
-                 json.JSONDecodeError, KeyError, ValueError)
+CONFIG_ERRORS = (ValidationError, DiagramError, DenseSizeError,
+                 FileNotFoundError, json.JSONDecodeError, KeyError, ValueError)
 
 
 def _versions():

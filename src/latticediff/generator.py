@@ -34,6 +34,15 @@ class GeneratorError(NumericError):
     """Rate table or assembly violates a structural requirement."""
 
 
+class DenseSizeError(Exception):
+    """A dense fiber would take more memory than `DENSE_FIBER_BYTES`."""
+
+
+# The float gain and a complex fiber of n rows take 24 n^2 bytes: lifted 3-d
+# N = 16 (n = 8192, 1.5 GiB) fits, 4-d N = 16 (n = 131072, 384 GiB) does not.
+DENSE_FIBER_BYTES = 2 * 2 ** 30
+
+
 @dataclass(frozen=True)
 class Channel:
     """One ordered level pair (source -> target) with its jump data."""
@@ -175,10 +184,16 @@ def _population_gain(table, n_axis):
 
     Each downward kernel is deposited and made circulant once; the reverse
     channel gets its own amplitude times the transposed block.  Read-only,
-    because every caller receives the same array.
+    because every caller receives the same array.  Refused with
+    DenseSizeError, before anything is allocated, above DENSE_FIBER_BYTES.
     """
     n_cells = n_axis ** table.dim
     n_lvl = len(table.levels)
+    need = 24 * (n_lvl * n_cells) ** 2
+    if need > DENSE_FIBER_BYTES:
+        raise DenseSizeError(
+            f"a dense fiber of {n_lvl * n_cells} rows needs {need / 2 ** 30:.4g} "
+            f"GiB, over the {DENSE_FIBER_BYTES / 2 ** 30:g} GiB budget")
     amplitude = {(c.source, c.target): c.amplitude for c in table.channels}
     gain = np.zeros((n_lvl * n_cells, n_lvl * n_cells))
     for c in table.channels:
@@ -243,6 +258,29 @@ def _grid_mode_blocks(table, n_axis):
     return blocks
 
 
+@functools.lru_cache(maxsize=4)
+def _mode_bounds(table, n_axis):
+    """lambda_max of the symmetric part of Pi^-1/2 A(x) Pi^1/2 per mode of
+    `_grid_mode_blocks` (Pi = diag(Gibbs)), shared read-only like them.
+
+    Pi^-1/2 B Pi^1/2 of a sector B of any M(p) is those blocks plus the
+    antisymmetric kinetic stencil, so by Bendixson's theorem every
+    eigenvalue of B has real part <= the max of its modes' bounds.  Detailed
+    balance (A(x) Pi symmetric) makes the scaled blocks symmetric, and so
+    the bound tight; an asymmetry above 16 eps max|A| is a NumericError.
+    """
+    blocks = _grid_mode_blocks(table, n_axis)
+    levels = np.asarray(table.levels)
+    scaled = blocks * np.exp(0.5 * table.beta * (levels[:, None] - levels))
+    defect = np.abs(scaled - scaled.transpose(0, 2, 1)).max()
+    if not defect <= 16 * np.finfo(float).eps * np.abs(blocks).max():
+        raise NumericError(f"Pi^-1/2 A(x) Pi^1/2 is asymmetric by {defect:.2e}: "
+                           "the rates break detailed balance")
+    bounds = np.linalg.eigvalsh(0.5 * (scaled + scaled.transpose(0, 2, 1)))[:, -1]
+    bounds.flags.writeable = False
+    return bounds
+
+
 def _split_axes(cfg, p):
     """Free axes F of M(p), where p_i = 0 or the dispersion row is flat,
     and the rest R."""
@@ -251,7 +289,16 @@ def _split_axes(cfg, p):
     return tuple(axes[~rest].tolist()), tuple(axes[rest].tolist())
 
 
-def _sectors(cfg, table, p, zero_only=False):
+def _by_sector(cfg, p, per_mode):
+    """A per-mode array (N^d, ...) in C order as (N^|F|, N^|R|, ...): the
+    modes x_F of the free axes of M(p), then those x_R of the rest."""
+    n_axis, free = cfg.grid.points_per_axis, _split_axes(cfg, p)[0]
+    tail = per_mode.shape[1:]
+    return np.moveaxis(per_mode.reshape((n_axis,) * cfg.dim + tail), free,
+                       range(len(free))).reshape((n_axis ** len(free), -1) + tail)
+
+
+def _sectors(cfg, table, p, which=None):
     """Sector blocks B(x_F) of the population fiber M(p) over its free axes F.
 
     The gain is circulant, so M(p) is block-diagonal over the Fourier modes
@@ -261,18 +308,16 @@ def _sectors(cfg, table, p, zero_only=False):
     x = x' +- m e_i (mod N) with weight -+w, w = (-1)^m c_im sin(m p_i / 2),
     where the (-1)^m comes from the grid starting at k = -pi.  At real p
     the blocks are real.  Returns the float64 stack
-    (N^|F|, L N^|R|, L N^|R|), C order over x_F and x_R, level-major;
-    `zero_only` builds the x_F = 0 sector alone.
+    (sectors, L N^|R|, L N^|R|), level-major, of the x_F indices `which`
+    (C order over x_F; all N^|F| of them when None), each in C order over x_R.
     """
     d, n_axis = cfg.dim, cfg.grid.points_per_axis
     n_lvl = len(table.levels)
     coeffs = cfg.dispersion.per_axis(d)
-    free, rest = _split_axes(cfg, p)
+    rest = _split_axes(cfg, p)[1]
     n_rest = n_axis ** len(rest)
-    blocks = np.moveaxis(
-        _grid_mode_blocks(table, n_axis).reshape((n_axis,) * d + (n_lvl, n_lvl)),
-        free, range(len(free))).reshape(-1, n_rest, n_lvl, n_lvl)
-    blocks = blocks[:1] if zero_only else blocks
+    blocks = _by_sector(cfg, p, _grid_mode_blocks(table, n_axis))
+    blocks = blocks if which is None else blocks[np.asarray(which)]
     eye = np.eye(n_rest).reshape((n_axis,) * (2 * len(rest)))
     kinetic = np.zeros_like(eye)
     for j, i in enumerate(rest):
@@ -302,8 +347,9 @@ def _left_map(cfg, table, p):
     return lambda v: (v.reshape(len(gibbs), -1)[:, neg] / gibbs[:, None]).ravel()
 
 
-def _fold(cfg, table, p):
-    """`_sectors` of M(p) as the stacks to eigensolve, the tracked one first.
+def _fold(cfg, table, p, which=None):
+    """`_sectors(cfg, table, p, which)` as the stacks to eigensolve, the
+    tracked one (of x_F = 0, when `which` holds it first) first.
 
     With odd harmonics only, each sector commutes with the signed inversion
     of the rest axes, (S v)(x_R) = (-1)^(sum x_R) v(-x_R) (N is even):
@@ -315,7 +361,7 @@ def _fold(cfg, table, p):
     x_F = 0 block holds the p = 0 kernel delta_{x=0} x Gibbs.  Returns
     [even, odd], or [stack] when R is empty or a harmonic is even.
     """
-    stack = _sectors(cfg, table, p)
+    stack = _sectors(cfg, table, p, which)
     rest = _split_axes(cfg, p)[1]
     if not rest or np.any(cfg.dispersion.per_axis(cfg.dim)[:, 1::2]):
         return [stack]

@@ -17,10 +17,13 @@ come from `generator._sectors`, built from p and the shared mode blocks
 with the kinetic term as a closed-form stencil, never from a dense fiber.
 The curve and the gaps read dense sector spectra, halved under the signed
 inversion of the non-free axes when the harmonics are odd
-(`generator._fold`).  The Hessian (unfolded x_F = 0 sectors of the center
-and the 2d axis points, as D is diagonal and h^-2 would amplify the fold's
-~1e-15 defect) and the stationary state use `_rayleigh`, one solve a
-sweep: by detailed balance a sector's left vector is Pi^-1 J v.
+(`generator._fold`): of the x_F = 0 sector, plus whatever sector the
+detailed-balance bound of its mode blocks (`generator._mode_bounds`)
+cannot rule out of the bulk (`_spectrum_top`).  The Hessian (unfolded
+x_F = 0 sectors of the center and the 2d axis points, as D is diagonal and
+h^-2 would amplify the fold's ~1e-15 defect) and the stationary state use
+`_rayleigh`, one solve a sweep: by detailed balance a sector's left vector
+is Pi^-1 J v.
 """
 
 import math
@@ -28,9 +31,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .generator import (_fold, _grid_mode_blocks, _left_map, _level_pair,
-                        _mode_blocks, _sectors, assemble_fiber,
-                        build_rate_table, escape_rates)
+from .generator import (_by_sector, _fold, _grid_mode_blocks, _left_map,
+                        _level_pair, _mode_blocks, _mode_bounds, _sectors,
+                        _split_axes, assemble_fiber, build_rate_table,
+                        escape_rates)
 from .model import NumericError, dispersion_grad
 from .sphere import plane_wave_average
 
@@ -107,13 +111,66 @@ def _start_vector(table, block):
     return v.ravel()
 
 
+def _sector_bounds(cfg, table, p):
+    """Per sector x_F of M(p), a real part that no eigenvalue `eigvals`
+    computes for it (or for its folded halves) exceeds.
+
+    Bendixson bounds the exact eigenvalues by the sector's max of
+    `_mode_bounds`.  The computed ones are exact for B + E, with |E| ~ n eps
+    |B| for n rows (backward stable QR), which moves the bound by at most
+    kappa |E|, kappa = sqrt(max Gibbs / min Gibbs) the condition of the
+    scaling, and |B| <= L max|A| + 2 sum_R |c|; the margin is 64 times that.
+    """
+    n_axis, rest = cfg.grid.points_per_axis, _split_axes(cfg, p)[1]
+    bounds = _by_sector(cfg, p, _mode_bounds(table, n_axis)).max(axis=1)
+    blocks = _grid_mode_blocks(table, n_axis)
+    norm = (blocks.shape[1] * np.abs(blocks).max()
+            + 2.0 * np.abs(cfg.dispersion.per_axis(cfg.dim)[list(rest)]).sum())
+    spread = max(table.levels) - min(table.levels)
+    margin = (64 * blocks.shape[1] * n_axis ** len(rest) * np.finfo(float).eps
+              * math.exp(0.5 * table.beta * spread) * norm)
+    return bounds + margin
+
+
+def _spectrum_top(cfg, table, p, near=None):
+    """(tracked, bulk) of the population fiber M(p) from the dense spectra of
+    its (folded) sectors: the x_F = 0 (even half's) eigenvalue nearest
+    `near` and the largest real part of the rest; with `near` None, None
+    and the largest real part of all.
+
+    With a free and a rest axis, x_F = 0 is solved first, then in one more
+    call every other sector whose `_sector_bounds` exceeds that bulk: a
+    sector left out has no eigenvalue above it, and the bulk only rises, so
+    the result is the all-sector one.  Otherwise the whole stack is solved:
+    N^d blocks of L rows at p = 0, or one sector with no free axis.
+    """
+    free, rest = _split_axes(cfg, p)
+    prune = bool(free and rest)
+    eigs = [np.linalg.eigvals(s) for s in _fold(cfg, table, p,
+                                                [0] if prune else None)]
+    flat = np.concatenate([e.ravel() for e in eigs])
+    if near is None:
+        tracked, bulk = None, float(flat.real.max())
+    else:
+        top = int(np.argmin(np.abs(eigs[0][0] - near)))
+        tracked, bulk = eigs[0][0, top], float(np.delete(flat, top).real.max())
+    if prune:
+        others = np.flatnonzero(_sector_bounds(cfg, table, p)[1:] > bulk) + 1
+        if others.size:
+            bulk = max([bulk] + [float(np.linalg.eigvals(s).real.max())
+                                 for s in _fold(cfg, table, p, others)])
+    return tracked, bulk
+
+
 def perron_curve(cfg, table, p_list):
     """Track the top eigenvalue of the population fiber along a p path.
 
-    At every p the dense spectra of all sectors (or of their folded
-    halves) are computed once; from the zero mode at p = 0 on, the followed
-    eigenvalue is the x_F = 0 sector's (or its even half's) one nearest the
-    previous step, and the rest gives the gap to the bulk.
+    At every p the dense spectra of the x_F = 0 sector (or of its folded
+    halves) are computed, plus those of any other sector whose detailed-
+    balance bound does not rule it out of the bulk (`_spectrum_top`); from
+    the zero mode at p = 0 on, the followed eigenvalue is the x_F = 0
+    sector's (or its even half's) one nearest the previous step, and the
+    rest gives the gap to the bulk.
     Raises TrackingLossError on a non-finite p, or when the followed
     eigenvalue jumps more than the fiber derivative allows (branch collision).
     """
@@ -128,17 +185,13 @@ def perron_curve(cfg, table, p_list):
             raise TrackingLossError(f"fiber momentum {p.tolist()} is not finite")
         # unused, but pinned per p by perfbench/tests/test_spans.py (ROADMAP 1)
         assemble_fiber(cfg, table, p, 0.0)
-        eigs = [np.linalg.eigvals(s) for s in _fold(cfg, table, p)]
-        top = int(np.argmin(np.abs(eigs[0][0] - eig)))
-        eig_new = eigs[0][0, top]
+        eig_new, bulk = _spectrum_top(cfg, table, p, near=eig)
         step = float(np.linalg.norm(p - prev_p))
         allowed = 4.0 * grad_scale * step + 1e-8
         if abs(eig_new - eig) > allowed:
             raise TrackingLossError(
                 f"eigenvalue moved {abs(eig_new - eig):.3e} over step {step:.3e}"
             )
-        bulk = float(np.delete(np.concatenate([e.ravel() for e in eigs]),
-                               top).real.max())
         points.append(FiberScanPoint(
             p=tuple(p), eigenvalue=complex(eig_new), bulk_top=bulk,
             gap=float(eig_new.real - bulk),
@@ -202,9 +255,7 @@ def spectral_gaps(cfg, table=None):
 
     g_high = math.inf
     for p in p_large:
-        top = max(float(np.linalg.eigvals(s).real.max())
-                  for s in _fold(cfg, table, p))
-        g_high = min(g_high, -max(top, coh_max))
+        g_high = min(g_high, -max(_spectrum_top(cfg, table, p)[1], coh_max))
 
     return GapReport(
         g_low=float(g_low), g_high=float(g_high), p_star=float(p_star),
@@ -226,7 +277,7 @@ def _hessian_once(cfg, table, h):
     off-diagonal is 0 by the same mode argument.
     """
     def top(vec):
-        block = _sectors(cfg, table, vec, zero_only=True)[0]
+        block = _sectors(cfg, table, vec, [0])[0]
         return _rayleigh(block, _start_vector(table, block),
                          _left_map(cfg, table, vec))[0]
 

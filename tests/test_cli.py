@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import resource
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from latticediff.model import SpinSystem
-from latticediff.presets import reference_1d
+from latticediff.presets import reference_1d, reference_2d
 from latticediff.reservoir import psi_xt
 
 
@@ -600,3 +601,31 @@ def test_kernel_expression_guard():
     result = _run("diagrams", "--check-d1", "--k", "__import__('os')",
                   "--samples", "10")
     assert result.returncode == 2
+
+
+def _address_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("diffusion",), ("spectrum", "--steps", "2"),
+    ("rates", "--dump-matrix", "p=0,0,0,0"),
+], ids=["diffusion", "spectrum", "rates-dump"])
+def test_dense_fiber_over_budget_exits_two_with_one_json_line(tmp_path, argv):
+    # reference_2d at d = 4 is valid, but its dense fiber of 131072 rows would
+    # take 384 GiB; the 3 GiB address-space limit on the child alone makes a
+    # regression fail instead of swapping
+    base = reference_2d()
+    cfg = dataclasses.replace(base, dim=4,
+                              bath=dataclasses.replace(base.bath, dim=4))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "latticediff.cli", argv[0], "--config",
+         _write_config(tmp_path, cfg), "--out", str(out), *argv[1:]],
+        capture_output=True, text=True, preexec_fn=_address_limit)
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    error = json.loads(result.stderr)
+    assert error["error"] == "DenseSizeError"
+    assert "131072 rows" in error["message"] and "384 GiB" in error["message"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "model.json"]

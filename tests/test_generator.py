@@ -584,3 +584,27 @@ def test_left_map_symmetrizes_every_sector(model):
     defect = np.abs(stack.transpose(0, 2, 1) @ t - t @ stack).max()
     assert defect <= 8 * np.finfo(float).eps * np.abs(stack).max() \
         * np.abs(t).max()
+
+
+def test_dense_budget_admits_lifted_three_dimensions_only():
+    # 24 n^2 bytes: lifted 3-d N = 16 (n = 2 * 16^3) fits, 4-d N = 16 not;
+    # the refusal comes before any allocation
+    assert 24 * (2 * 16 ** 3) ** 2 <= generator.DENSE_FIBER_BYTES
+    base = reference_2d()
+    cfg = dataclasses.replace(base, dim=4,
+                              bath=dataclasses.replace(base.bath, dim=4))
+    with pytest.raises(generator.DenseSizeError, match="131072 rows"):
+        generator._population_gain(build_rate_table(cfg), 16)
+
+
+def test_mode_bounds_refuse_rates_without_detailed_balance():
+    # the bound needs Pi^-1/2 A(x) Pi^1/2 symmetric; an upward amplitude off
+    # by 1e-6 relative breaks it far above 16 eps max|A|
+    cfg = reference_2d(n_k=8)
+    table = build_rate_table(cfg)
+    assert generator._mode_bounds(table, 8).shape == (64,)
+    up = [dataclasses.replace(c, amplitude=c.amplitude * (1 + 1e-6))
+          if c.bohr < 0 else c for c in table.channels]
+    broken = dataclasses.replace(table, channels=tuple(up))
+    with pytest.raises(NumericError, match="detailed balance"):
+        generator._mode_bounds(broken, 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latticediff.spectral import (TrackingLossError, coherence_top,
                                   diffusion_tensor_formula,
                                   diffusion_tensor_hessian, perron_curve,
                                   spectral_gaps, stationary_state)
+from test_generator import _cosine_fibers
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +302,7 @@ def test_one_sided_rayleigh_meets_the_two_sided_oracle(make, p):
     cfg = make()
     table = build_rate_table(cfg)
     p = np.asarray(p)
-    block = generator._sectors(cfg, table, p, zero_only=True)[0]
+    block = generator._sectors(cfg, table, p, [0])[0]
     start = spectral._start_vector(table, block)
     ref = _two_sided_rayleigh(block, start, (start != 0).astype(float))
     assert abs(_top(cfg, table, p, block) - ref) \
@@ -584,3 +586,118 @@ def test_formula_meets_the_all_mode_solve_on_aliased_harmonics(make):
     ref = _ifftn_formula(cfg, table)
     formula = diffusion_tensor_formula(cfg, table)
     assert np.abs(formula - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _all_sector_top(cfg, table, p, near=None):
+    """`_spectrum_top` before the bound, as an oracle: every folded sector
+    of M(p) eigensolved, the tracked eigenvalue from the first."""
+    eigs = [np.linalg.eigvals(s) for s in generator._fold(cfg, table, p)]
+    flat = np.concatenate([e.ravel() for e in eigs])
+    if near is None:
+        return None, float(flat.real.max())
+    top = int(np.argmin(np.abs(eigs[0][0] - near)))
+    return eigs[0][0, top], float(np.delete(flat, top).real.max())
+
+
+def _curve_and_gaps(cfg, table):
+    """repr of a curve along axis 0 and of the gaps, or of the tracking loss."""
+    axis = np.eye(cfg.dim)[0]
+    try:
+        curve = perron_curve(cfg, table, [s * axis for s in (0.0, 0.1, 0.3)])
+        return repr((curve, spectral_gaps(cfg, table)))
+    except TrackingLossError as exc:
+        return repr(exc)
+
+
+def _assert_pruning_is_exact(cfg):
+    """Pruned curve and gaps equal the all-sector oracle's, bitwise; returns
+    the x_F lists `_sectors` was given beyond x_F = 0 alone."""
+    table = build_rate_table(cfg)
+    extra, sectors = [], generator._sectors
+
+    def spy(cfg, table, p, which=None):
+        if which is not None and list(which) != [0]:
+            extra.append(list(which))
+        return sectors(cfg, table, p, which)
+
+    with mock.patch.object(generator, "_sectors", spy):
+        pruned = _curve_and_gaps(cfg, table)
+    with mock.patch.object(spectral, "_spectrum_top", _all_sector_top):
+        assert _curve_and_gaps(cfg, table) == pruned
+    return extra
+
+
+def _extra_sector_model():
+    """2-d N = 8, m = 7, a kick of 1.87 and an almost flat axis 1: on the
+    small fibers the sector x_F = 4 of axis 1, not x_F = 0, holds the bulk."""
+    return ModelConfig(
+        dim=2, dispersion=DispersionSpec("cosine_series",
+                                         coefficients=((0.8,), (-0.01,))),
+        spin=SpinSystem(levels=(0.0, 1.87),
+                        couplings=((0.0, 0.57), (0.57, 0.0))),
+        beta=1.6, bath=BathProfile("builtin_gaussian", beta=1.6, dim=2),
+        grid=GridSpec(points_per_axis=8, sphere_nodes=7))
+
+
+@pytest.mark.parametrize("make", [reference_2d, lambda: _lifted(3, 8)],
+                         ids=["reference-2d", "lifted-3d-8"])
+def test_pruned_curve_and_gaps_equal_the_all_sector_oracle(make):
+    assert _assert_pruning_is_exact(make()) == []
+
+
+def test_pruning_solves_the_sectors_the_bound_keeps():
+    # at p = 0.02 the bulk is -0.739, in x_F = 4, and -0.860 in x_F = 0; the
+    # bounds keep x_F = 2, 4, 6 on every small fiber, and the extra call
+    # leaves the curve and gaps bitwise equal
+    cfg = _extra_sector_model()
+    assert validate_model(cfg).passed
+    extra = _assert_pruning_is_exact(cfg)
+    assert extra and all(which == [2, 4, 6] for which in extra)
+    table = build_rate_table(cfg)
+    p = np.array([0.02, 0.0])
+    zero = np.concatenate([np.linalg.eigvals(s).ravel()
+                           for s in generator._fold(cfg, table, p, [0])])
+    bulk_zero = np.sort(zero.real)[-2]  # all but the tracked top, ~-1e-4
+    assert spectral._spectrum_top(cfg, table, p, 0.0)[1] > bulk_zero + 0.1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cosine_fibers())
+def test_pruning_is_exact_on_random_models(model):
+    cfg, p = model
+    _assert_pruning_is_exact(cfg)
+    table = build_rate_table(cfg)
+    assert spectral._spectrum_top(cfg, table, p) \
+        == _all_sector_top(cfg, table, p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cosine_fibers())
+def test_sector_spectra_lie_below_their_bounds(model):
+    # Bendixson on the symmetrized sectors, up to the margin that covers
+    # the eigensolver's backward error: unfolded sectors and folded halves
+    cfg, p = model
+    table = build_rate_table(cfg)
+    bounds = spectral._sector_bounds(cfg, table, p)
+    for stack in [generator._sectors(cfg, table, p),
+                  *generator._fold(cfg, table, p)]:
+        assert np.all(np.linalg.eigvals(stack).real.max(axis=1) <= bounds)
+
+
+def test_reference_2d_gaps_and_curve_solve_the_zero_sector_only(monkeypatch):
+    # the smallest slack, bulk of x_F = 0 minus the best other bound, is
+    # 9.1e-5 at p = 0.02; at p = 0 all N^2 mode blocks are one stack
+    cfg = reference_2d()
+    table = build_rate_table(cfg)
+    calls = []
+    sectors = generator._sectors
+
+    def spy(cfg, table, p, which=None):
+        calls.append((bool(np.any(p)), which))
+        return sectors(cfg, table, p, which)
+
+    monkeypatch.setattr(generator, "_sectors", spy)
+    perron_curve(cfg, table, [(s, 0.0) for s in np.linspace(0.0, 0.5, 32)])
+    spectral_gaps(cfg, table)
+    assert [w for moved, w in calls if not moved] == [None, None]
+    assert [list(w) for moved, w in calls if moved] == [[0]] * (31 + 9)
