@@ -43,24 +43,34 @@ def _versions():
     }
 
 
-def _emit(args, config_hash, seed, flags, files):
+# Parsed arguments outside a run's identity: internals, the worker count
+# (outputs are byte-identical across it), the config path (its contents are
+# in the config hash) and the output paths.  Any new option is hashed.
+UNHASHED = frozenset({"command", "func", "wall_time", "threads", "config",
+                      "out", "matrix_out", "decay_check", "dump_paths"})
+
+
+def _emit(args, config_hash, seed, files):
     """Write every output of a run, each stamped with the manifest hash,
     then the run manifest next to the first output.
 
     `files` holds finished contents as (path, content) pairs: a dict is
     written as JSON, a (header, rows) pair as CSV, and a pair without a
-    path is skipped.  The hash covers the command, config hash, flags, seed
-    and versions; the output list and the wall time are recorded but not
-    hashed.  With no path at all, the first content is printed as JSON.
+    path is skipped.  The hash covers the command, config hash, seed,
+    versions and, as `flags`, every parsed argument outside `UNHASHED`;
+    the config path, outputs and wall time are recorded, not hashed.  With
+    no path at all, the first content is printed as JSON.
     """
     written = [(path, content) for path, content in files if path]
     if not written:
         print(json.dumps(files[0][1], indent=2, sort_keys=True))
         return
+    flags = {k: v for k, v in vars(args).items() if k not in UNHASHED}
     manifest = {"command": args.command, "config_hash": config_hash,
                 "flags": flags, "seed": seed, "versions": _versions()}
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     stamp = hashlib.sha256(blob.encode()).hexdigest()
+    manifest["config"] = vars(args).get("config")
     manifest["outputs"] = [path for path, _ in written]
     manifest["wall_time_s"] = round(args.wall_time(), 3)
     written.append((os.path.splitext(written[0][0])[0] + ".manifest.json",
@@ -114,7 +124,7 @@ def _kernel_from_expression(expr):
 def cmd_validate(args):
     cfg = model_from_json(args.config)
     report = validate_model(cfg)
-    _emit(args, cfg.config_hash(), cfg.rng_seed, {"config": args.config},
+    _emit(args, cfg.config_hash(), cfg.rng_seed,
           [(args.out, report.to_dict())])
     if not report.passed:
         names = ", ".join(c.name for c in report.failures)
@@ -134,13 +144,9 @@ def cmd_psi(args):
     times = np.linspace(0.0, args.tmax, args.points)
     values = psi_xt_batch(cfg.bath, np.tile(x, (len(times), 1)), times,
                           check=False)
-    flags = {"config": args.config, "x": args.x, "tmax": args.tmax,
-             "points": args.points}
-    if args.decay_check:
-        flags["v_star"] = args.v_star
     rows = [(float(t), float(v.real), float(v.imag))
             for t, v in zip(times, values)]
-    _emit(args, cfg.config_hash(), cfg.rng_seed, flags,
+    _emit(args, cfg.config_hash(), cfg.rng_seed,
           [(args.out, (["t", "re", "im"], rows)),
            (args.decay_check, asdict(fit) if fit else None)])
     return 0
@@ -173,7 +179,6 @@ def cmd_rates(args):
             rows.append((int(r), int(c), float(v.real), float(v.imag)))
         matrix = (["row", "col", "re", "im"], rows)
     _emit(args, cfg.config_hash(), cfg.rng_seed,
-          {"config": args.config, "dump_matrix": args.dump_matrix or ""},
           [(args.out, payload),
            (args.matrix_out if p is not None else None, matrix)])
     return 0
@@ -193,7 +198,6 @@ def cmd_spectrum(args):
     rows = [(float(np.linalg.norm(pt.p)), pt.eigenvalue.real,
              pt.eigenvalue.imag, pt.gap) for pt in points]
     _emit(args, cfg.config_hash(), cfg.rng_seed,
-          {"config": args.config, "pmax": args.pmax, "steps": args.steps},
           [(args.out, (["p", "eig_re", "eig_im", "gap"], rows))])
     return 0
 
@@ -225,9 +229,7 @@ def cmd_diffusion(args):
         payload["kmc"] = stats.diffusion.tolist()
         payload["kmc_se"] = stats.diffusion_se.tolist()
         payload["kmc_t_final"] = t_final
-    _emit(args, cfg.config_hash(), cfg.rng_seed,
-          {"config": args.config, "kmc_traj": args.kmc_traj or 0},
-          [(args.out, payload)])
+    _emit(args, cfg.config_hash(), cfg.rng_seed, [(args.out, payload)])
     return 0
 
 
@@ -255,8 +257,6 @@ def cmd_simulate(args):
                   + [f"k{j}" for j in range(cfg.dim)] + ["level"])
         dump = (header, rows)
     _emit(args, cfg.config_hash(), cfg.rng_seed,
-          {"config": args.config, "traj": args.traj, "tfinal": args.tfinal,
-           "probes": args.probes or ""},
           [(args.out, stats.to_dict()), (args.dump_paths, dump)])
     return 0
 
@@ -276,8 +276,6 @@ def cmd_diagrams(args):
     report = check_lemma_bounds(k, args.a, n_max=args.nmax,
                                 mc_samples=int(samples), seed=args.seed)
     _emit(args, hashlib.sha256(args.k.encode()).hexdigest(), args.seed,
-          {"k": args.k, "a": args.a, "nmax": args.nmax,
-           "samples": args.samples},
           [(args.out, report.to_dict())])
     return 0
 

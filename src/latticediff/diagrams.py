@@ -138,6 +138,8 @@ def irreducible_shapes(n):
 NORM_ORDER = 16
 NORM_REL_TOL = 1e-12
 NORM_PANELS = 1000
+# Monte Carlo shape integrals: strata of the outer time t
+MC_STRATA = 16
 
 
 def _norm(func, a=0.0, t_power=0, upper=math.inf):
@@ -203,7 +205,7 @@ def _laplace_t_cutoff(k, a):
     return float(ts[above[-1]]) * 1.5 if len(above) else 50.0
 
 
-def _shape_laplace_mc(k, a, shape, mc_samples, t_max, seed, strata=16):
+def _shape_laplace_mc(k, a, shape, mc_samples, t_max, seed):
     """int_0^inf dt e^{at} over diagrams with this shape pinned to [0, t].
 
     The first and last of the 2n times are pinned to the interval ends
@@ -217,8 +219,8 @@ def _shape_laplace_mc(k, a, shape, mc_samples, t_max, seed, strata=16):
         return val, 0.0, 0
     inner = 2 * n - 2
     rng = np.random.default_rng([seed, 11, n, hash(shape.pairs) % (1 << 32)])
-    edges = np.linspace(0.0, t_max, strata + 1)
-    per = max(64, mc_samples // strata)
+    edges = np.linspace(0.0, t_max, MC_STRATA + 1)
+    per = max(64, mc_samples // MC_STRATA)
     total, var = 0.0, 0.0
     log_fact = math.lgamma(inner + 1)
     pair_lo = np.array([r for r, _ in shape.pairs])
@@ -236,7 +238,7 @@ def _shape_laplace_mc(k, a, shape, mc_samples, t_max, seed, strata=16):
         vals = weight * np.prod(k(lags), axis=1)
         total += float(vals.mean())
         var += float(vals.var(ddof=1) / per)
-    return total, math.sqrt(var), strata * per
+    return total, math.sqrt(var), MC_STRATA * per
 
 
 @dataclass(frozen=True)

@@ -392,16 +392,8 @@ def check_subluminal_decay(profile, v_star, t_max):
     times = np.linspace(5.0, t_max, 20)
     radii = [[round(f * v_star * t) for f in CONE_FRACTIONS] for t in times]
     sup = _sup_on_sets(profile, times, radii, profile.dim)
-    keep = sup > 1e-290
-    if keep.sum() < 5:
-        raise FitError("cone samples underflow: not enough points to fit")
-    tt, yy = times[keep], np.log(sup[keep])
-    design = np.column_stack([np.ones_like(tt), tt])
-    coef, *_ = np.linalg.lstsq(design, yy, rcond=None)
-    resid = yy - design @ coef
-    ss_tot = float(np.sum((yy - yy.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    rate = -float(coef[1])
+    slope, _, _, r2 = _log_fit(times, sup, "cone")
+    rate = -slope
     warning = ""
     if v_star >= 0.9:
         warning = ("v_star close to the bath propagation speed: "
@@ -412,17 +404,20 @@ def check_subluminal_decay(profile, v_star, t_max):
     )
 
 
-def _power_fit(times, sup):
-    """Least-squares line of log sup against log(1 + t): the power, the
-    amplitude, and the mask of samples above underflow that it used."""
+def _log_fit(x, sup, what):
+    """Least-squares line of log sup against the abscissa x over the samples
+    above underflow: slope, intercept, that mask and R^2.  `what` names the
+    samples in the FitError raised when fewer than 5 remain."""
     keep = sup > 1e-290
     if keep.sum() < 5:
-        raise FitError("sup samples underflow: not enough points to fit")
-    logt = np.log1p(times[keep])
-    logy = np.log(sup[keep])
-    design = np.column_stack([np.ones_like(logt), logt])
-    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-    return float(coef[1]), float(np.exp(coef[0])), keep
+        raise FitError(f"{what} samples underflow: not enough points to fit")
+    xx, yy = x[keep], np.log(sup[keep])
+    design = np.column_stack([np.ones_like(xx), xx])
+    coef, *_ = np.linalg.lstsq(design, yy, rcond=None)
+    resid = yy - design @ coef
+    ss_tot = float(np.sum((yy - yy.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
+    return float(coef[1]), float(coef[0]), keep, r2
 
 
 def fit_sup_power(profile, t_min, t_max):
@@ -437,8 +432,8 @@ def fit_sup_power(profile, t_min, t_max):
         inner = {0, int(round(0.25 * t)), int(round(0.5 * t)), int(round(0.75 * t))}
         radius_lists.append([r for r in near_cone | inner if r >= 0])
     sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
-    power, amplitude, keep = _power_fit(times, sup)
-    return power, amplitude, times[keep], sup[keep]
+    power, log_amp, keep, _ = _log_fit(np.log1p(times), sup, "sup")
+    return power, float(np.exp(log_amp)), times[keep], sup[keep]
 
 
 @dataclass(frozen=True)
@@ -470,7 +465,8 @@ def check_time_integrability(profile, t_max):
     sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
     partial = float(np.trapezoid(sup, times))
     upper = times >= max(5.0, t_max / 8.0)
-    power, amplitude, _ = _power_fit(times[upper], sup[upper])
+    power, log_amp, _, _ = _log_fit(np.log1p(times[upper]), sup[upper], "sup")
+    amplitude = float(np.exp(log_amp))
     if power < -1.0:
         tail = amplitude * (1.0 + t_max) ** (power + 1.0) / (-(power + 1.0))
     else:

@@ -138,28 +138,30 @@ def _spectrum_top(cfg, table, p, near=None):
     `near` and the largest real part of the rest; with `near` None, None
     and the largest real part of all.
 
-    With a free and a rest axis, x_F = 0 is solved first, then in one more
-    call every other sector whose `_sector_bounds` exceeds that bulk: a
-    sector left out has no eigenvalue above it, and the bulk only rises, so
-    the result is the all-sector one.  Otherwise the whole stack is solved:
-    N^d blocks of L rows at p = 0, or one sector with no free axis.
+    x_F = 0 is solved first, then in one more call every other sector whose
+    `_sector_bounds` exceeds that bulk: a sector left out has no eigenvalue
+    above it, and the bulk only rises, so the result is the all-sector one.
+    With no free axis there is one sector, and at p = 0 each sector is one
+    L x L mode block.
     """
-    free, rest = _split_axes(cfg, p)
-    prune = bool(free and rest)
-    eigs = [np.linalg.eigvals(s) for s in _fold(cfg, table, p,
-                                                [0] if prune else None)]
+    eigs = [np.linalg.eigvals(s) for s in _fold(cfg, table, p, [0])]
     flat = np.concatenate([e.ravel() for e in eigs])
     if near is None:
         tracked, bulk = None, float(flat.real.max())
     else:
         top = int(np.argmin(np.abs(eigs[0][0] - near)))
         tracked, bulk = eigs[0][0, top], float(np.delete(flat, top).real.max())
-    if prune:
-        others = np.flatnonzero(_sector_bounds(cfg, table, p)[1:] > bulk) + 1
-        if others.size:
-            bulk = max([bulk] + [float(np.linalg.eigvals(s).real.max())
-                                 for s in _fold(cfg, table, p, others)])
+    others = np.flatnonzero(_sector_bounds(cfg, table, p)[1:] > bulk) + 1
+    if others.size:
+        bulk = max([bulk] + [float(np.linalg.eigvals(s).real.max())
+                             for s in _fold(cfg, table, p, others)])
     return tracked, bulk
+
+
+def _max_velocity(cfg):
+    """max |grad eps| over the momentum grid."""
+    return float(np.abs(dispersion_grad(cfg.dispersion, cfg.grid_points(),
+                                        dim=cfg.dim)).max())
 
 
 def perron_curve(cfg, table, p_list):
@@ -175,8 +177,7 @@ def perron_curve(cfg, table, p_list):
     eigenvalue jumps more than the fiber derivative allows (branch collision).
     """
     eig = 0.0
-    grad_scale = float(np.abs(dispersion_grad(
-        cfg.dispersion, cfg.grid_points(), dim=cfg.dim)).max())
+    grad_scale = _max_velocity(cfg)
     points = []
     prev_p = np.zeros(cfg.dim)
     for p in p_list:
@@ -325,11 +326,8 @@ def diffusion_tensor_hessian(cfg, table=None):
         table = build_rate_table(cfg)
     result = _richardson(cfg, table, 1e-3)
     if result.richardson_defect > 1e-4:
-        blocks = _grid_mode_blocks(table, cfg.grid.points_per_axis)
-        gap0 = -np.sort(np.linalg.eigvals(blocks).real, axis=None)[-2]
-        v_max = np.abs(dispersion_grad(cfg.dispersion, cfg.grid_points(),
-                                       dim=cfg.dim)).max()
-        h = 1e-3 * gap0 / v_max
+        gap0 = -_spectrum_top(cfg, table, np.zeros(cfg.dim), 0.0)[1]
+        h = 1e-3 * gap0 / _max_velocity(cfg)
         if (h / 2) ** 2 < np.finfo(float).tiny:
             raise FDInconsistencyError(f"retry step {h:.2e}: h^2 underflows")
         result = _richardson(cfg, table, h)

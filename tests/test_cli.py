@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -21,6 +22,13 @@ def _write_config(tmp_path, cfg, name="model.json"):
 def _run(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "latticediff.cli", *argv],
                           capture_output=True, text=True, cwd=cwd)
+
+
+def _stamp(name, text):
+    """The manifest hash a data file carries: a JSON key, or a CSV's first
+    line."""
+    return (json.loads(text)["manifest_hash"] if name.endswith(".json")
+            else text.splitlines()[0].removeprefix("# manifest: "))
 
 
 @pytest.fixture(scope="module")
@@ -224,16 +232,20 @@ def test_psi_decay_check_enters_the_manifest(tmp_path, config_path):
         "simulate-dump-paths", "diagrams", "diagrams-stdout"])
 def test_outputs_carry_their_manifest_and_rerun_identically(
         tmp_path, config_path, monkeypatch, capsys, argv):
+    # run b reads a byte-copy of the config at another path, on one thread:
+    # neither enters the stamp
     from latticediff import cli
 
-    if argv[0] != "diagrams":
-        argv = [argv[0], "--config", config_path, *argv[1:]]
+    copy = tmp_path / "copy.json"
+    shutil.copyfile(config_path, copy)
     runs = []
-    for name in ("a", "b"):
+    for name, threads, config in (("a", "2", config_path), ("b", "1", copy)):
         run_dir = tmp_path / name
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
-        assert cli.main(["--threads", "2", *argv]) == 0
+        run_argv = (argv if argv[0] == "diagrams"
+                    else [argv[0], "--config", str(config), *argv[1:]])
+        assert cli.main(["--threads", threads, *run_argv]) == 0
         files = {p.name: p.read_text() for p in run_dir.iterdir()}
         manifests = [n for n in files if n.endswith(".manifest.json")]
         manifest = json.loads(files.pop(manifests[0])) if manifests else None
@@ -250,10 +262,35 @@ def test_outputs_carry_their_manifest_and_rerun_identically(
     assert manifests == [out.rsplit(".", 1)[0] + ".manifest.json"]
     assert manifest["outputs"][0] == out
     assert sorted(manifest["outputs"]) == sorted(files)
+    assert manifest["config"] == (None if argv[0] == "diagrams"
+                                  else config_path)
     for name, text in files.items():
-        stamp = (json.loads(text)["manifest_hash"] if name.endswith(".json")
-                 else text.splitlines()[0].removeprefix("# manifest: "))
-        assert stamp == manifest["manifest_hash"], name
+        assert _stamp(name, text) == manifest["manifest_hash"], name
+
+
+@pytest.mark.parametrize("argv,flag,values", [
+    (["diffusion", "--kmc-traj", "256", "--out", "diffusion.json"],
+     "--kmc-tfinal", ("5", "9")),
+    (["simulate", "--traj", "256", "--tfinal", "5", "--out", "stats.json",
+      "--dump-paths", "paths.csv"], "--n-paths", ("2", "3")),
+    (["spectrum", "--out", "spectrum.csv"], "--steps", ("3", "4")),
+], ids=["diffusion-kmc-tfinal", "simulate-n-paths", "spectrum-steps"])
+def test_runs_that_differ_in_one_argument_get_distinct_stamps(
+        tmp_path, config_path, monkeypatch, argv, flag, values):
+    from latticediff import cli
+
+    stamps = []
+    for value in values:
+        run_dir = tmp_path / value
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert cli.main([argv[0], "--config", config_path, *argv[1:],
+                         flag, value]) == 0
+        stamps.append({_stamp(p.name, p.read_text())
+                       for p in run_dir.iterdir()
+                       if not p.name.endswith(".manifest.json")})
+    assert all(len(s) == 1 for s in stamps)
+    assert stamps[0] != stamps[1]
 
 
 def test_failed_matrix_dump_writes_no_output(tmp_path, config_path,

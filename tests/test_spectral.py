@@ -352,8 +352,8 @@ def test_gaps_assemble_dense_fibers_only_on_the_small_ray(ref2d, monkeypatch):
 
 def _eigensolve_sizes(cfg, table, monkeypatch):
     """Row counts of every eigvals call made by a 4-point curve along axis
-    0 and by the gaps; one stack at each p = 0, two halves at each of the
-    3 + 6 + 3 others."""
+    0 and by the gaps; x_F = 0 and the mode blocks its bound keeps at each
+    p = 0, two halves at each of the 3 + 6 + 3 others."""
     sizes = []
     eigvals = np.linalg.eigvals
 
@@ -365,7 +365,7 @@ def _eigensolve_sizes(cfg, table, monkeypatch):
     axis = np.eye(cfg.dim)[0]
     perron_curve(cfg, table, [s * axis for s in np.linspace(0.0, 0.5, 4)])
     spectral_gaps(cfg, table)
-    assert len(sizes) == 2 + 2 * (3 + 6 + 3)
+    assert len(sizes) == 2 * 2 + 2 * (3 + 6 + 3)
     return sizes
 
 
@@ -611,20 +611,27 @@ def _curve_and_gaps(cfg, table):
 
 def _assert_pruning_is_exact(cfg):
     """Pruned curve and gaps equal the all-sector oracle's, bitwise; returns
-    the x_F lists `_sectors` was given beyond x_F = 0 alone."""
+    the x_F lists `_sectors` was given beyond x_F = 0 alone, at p = 0 and
+    at the other p."""
     table = build_rate_table(cfg)
-    extra, sectors = [], generator._sectors
+    zero, extra, sectors = [], [], generator._sectors
 
     def spy(cfg, table, p, which=None):
         if which is not None and list(which) != [0]:
-            extra.append(list(which))
+            (extra if np.any(p) else zero).append(list(which))
         return sectors(cfg, table, p, which)
 
     with mock.patch.object(generator, "_sectors", spy):
         pruned = _curve_and_gaps(cfg, table)
     with mock.patch.object(spectral, "_spectrum_top", _all_sector_top):
         assert _curve_and_gaps(cfg, table) == pruned
-    return extra
+    return zero, extra
+
+
+def _all_other_modes(cfg):
+    """The p = 0 x_F lists of a curve and the gaps when the bulk of the
+    zero mode block lies below every other mode block's bound."""
+    return [list(range(1, cfg.grid.points_per_axis ** cfg.dim))] * 2
 
 
 def _extra_sector_model():
@@ -642,7 +649,8 @@ def _extra_sector_model():
 @pytest.mark.parametrize("make", [reference_2d, lambda: _lifted(3, 8)],
                          ids=["reference-2d", "lifted-3d-8"])
 def test_pruned_curve_and_gaps_equal_the_all_sector_oracle(make):
-    assert _assert_pruning_is_exact(make()) == []
+    cfg = make()
+    assert _assert_pruning_is_exact(cfg) == (_all_other_modes(cfg), [])
 
 
 def test_pruning_solves_the_sectors_the_bound_keeps():
@@ -651,7 +659,8 @@ def test_pruning_solves_the_sectors_the_bound_keeps():
     # leaves the curve and gaps bitwise equal
     cfg = _extra_sector_model()
     assert validate_model(cfg).passed
-    extra = _assert_pruning_is_exact(cfg)
+    zero, extra = _assert_pruning_is_exact(cfg)
+    assert zero == _all_other_modes(cfg)
     assert extra and all(which == [2, 4, 6] for which in extra)
     table = build_rate_table(cfg)
     p = np.array([0.02, 0.0])
@@ -686,7 +695,8 @@ def test_sector_spectra_lie_below_their_bounds(model):
 
 def test_reference_2d_gaps_and_curve_solve_the_zero_sector_only(monkeypatch):
     # the smallest slack, bulk of x_F = 0 minus the best other bound, is
-    # 9.1e-5 at p = 0.02; at p = 0 all N^2 mode blocks are one stack
+    # 9.1e-5 at p = 0.02; at p = 0 the zero mode block's bulk keeps the
+    # N^2 - 1 others
     cfg = reference_2d()
     table = build_rate_table(cfg)
     calls = []
@@ -699,5 +709,6 @@ def test_reference_2d_gaps_and_curve_solve_the_zero_sector_only(monkeypatch):
     monkeypatch.setattr(generator, "_sectors", spy)
     perron_curve(cfg, table, [(s, 0.0) for s in np.linspace(0.0, 0.5, 32)])
     spectral_gaps(cfg, table)
-    assert [w for moved, w in calls if not moved] == [None, None]
+    rest = list(range(1, cfg.grid.points_per_axis ** 2))
+    assert [list(w) for moved, w in calls if not moved] == [[0], rest] * 2
     assert [list(w) for moved, w in calls if moved] == [[0]] * (31 + 9)
