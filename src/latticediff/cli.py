@@ -172,11 +172,10 @@ def cmd_rates(args):
     if p is not None:
         block = assemble_fiber(cfg, table, p, 0.0)
         mat = np.asarray(block.matrix, dtype=complex)
-        rows = []
-        nz = np.nonzero(mat)
-        for r, c in zip(*nz):
-            v = mat[r, c]
-            rows.append((int(r), int(c), float(v.real), float(v.imag)))
+        r, c = np.nonzero(mat)
+        v = mat[r, c]
+        rows = list(zip(r.tolist(), c.tolist(), v.real.tolist(),
+                        v.imag.tolist()))
         matrix = (["row", "col", "re", "im"], rows)
     _emit(args, cfg.config_hash(), cfg.rng_seed,
           [(args.out, payload),
@@ -248,11 +247,7 @@ def cmd_simulate(args):
                          table=table, threads=args.threads)
     dump = None
     if paths is not None:
-        rows = []
-        for (i, t, x, k, level) in paths:
-            rows.append((i, float(t),
-                         *(float(v) for v in x), *(float(v) for v in k),
-                         int(level)))
+        rows = [(i, t, *x, *k, level) for i, t, x, k, level in paths]
         header = (["path", "t"] + [f"x{j}" for j in range(cfg.dim)]
                   + [f"k{j}" for j in range(cfg.dim)] + ["level"])
         dump = (header, rows)

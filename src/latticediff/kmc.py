@@ -252,22 +252,14 @@ class EnsembleStats:
         return 0.5 * float(np.abs(frac - 1.0 / len(frac)).sum())
 
     def to_dict(self):
-        return {
-            "n_traj": self.n_traj,
-            "t_final": self.t_final,
-            "mean_x": self.mean_x.tolist(),
-            "mean_x_se": self.mean_x_se.tolist(),
-            "cov_x": self.cov_x.tolist(),
-            "diffusion": self.diffusion.tolist(),
-            "diffusion_se": self.diffusion_se.tolist(),
-            "level_hist": self.level_hist.tolist(),
-            "gibbs_expected": self.gibbs_expected.tolist(),
-            "k_hist": self.k_hist.tolist(),
-            "k_marginal_tv": [self.k_marginal_tv(ax)
-                              for ax in range(len(self.k_hist))],
-            "cgf": [c.to_dict() for c in self.cgf],
-            "warnings": list(self.warnings),
-        }
+        """The fields, arrays as lists, plus `k_marginal_tv` of each axis."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({name: v.tolist() for name, v in out.items()
+                    if isinstance(v, np.ndarray)})
+        out["cgf"] = [c.to_dict() for c in self.cgf]
+        out["k_marginal_tv"] = [self.k_marginal_tv(ax)
+                                for ax in range(len(self.k_hist))]
+        return out
 
 
 def _check_horizon(t_final):

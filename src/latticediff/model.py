@@ -68,33 +68,20 @@ class DispersionSpec:
         return out
 
 
-def _as_momentum(k):
-    k = np.asarray(k)
-    if not np.iscomplexobj(k):
-        k = k.astype(float)
-    return k
-
-
-def dispersion_eval(spec, k, dim=None):
-    """Evaluate eps(k); k has shape (d,) or (..., d).
-
-    Complex momenta are accepted (the periodic dispersion extends to an
-    entire function), which is what fiber analyticity probes use.
-    """
-    k = _as_momentum(k)
-    d = k.shape[-1] if dim is None else dim
-    coeffs = spec.per_axis(d)
+def dispersion_eval(spec, k):
+    """Evaluate eps(k) at real momenta; k has shape (d,) or (..., d)."""
+    k = np.asarray(k, dtype=float)
+    coeffs = spec.per_axis(k.shape[-1])
     harmonics = np.arange(1, coeffs.shape[1] + 1)
     # (..., d, m)
     phases = np.multiply.outer(k, harmonics)
     return np.einsum("...im,im->...", 1.0 - np.cos(phases), coeffs)
 
 
-def dispersion_grad(spec, k, dim=None):
-    """Exact gradient of eps at k; shape matches k."""
-    k = _as_momentum(k)
-    d = k.shape[-1] if dim is None else dim
-    coeffs = spec.per_axis(d)
+def dispersion_grad(spec, k):
+    """Exact gradient of eps at real momenta k; shape matches k."""
+    k = np.asarray(k, dtype=float)
+    coeffs = spec.per_axis(k.shape[-1])
     harmonics = np.arange(1, coeffs.shape[1] + 1)
     phases = np.multiply.outer(k, harmonics)
     return np.einsum("...im,im,m->...i", np.sin(phases), coeffs, harmonics.astype(float))
@@ -177,10 +164,20 @@ class ModelConfig:
         return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
     def grid_points(self):
-        """All N^d grid momenta, shape (N^d, d), axis-0 fastest last."""
+        """All N^d grid momenta, shape (N^d, d), axis-0 fastest last: the
+        dense fiber's grid (per-axis dispersion values: `axis_points`)."""
         ax = self.axis()
         mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def axis_points(self):
+        """Grid momenta on the d axes through k = 0, shape (d N, d), row
+        i N + j = axis()[j] e_i.  As eps(k) = sum_i eps_i(k_i) and eps_i(0) =
+        eps_i'(0) = 0, they carry every per-axis value of eps and grad eps."""
+        n, d = self.grid.points_per_axis, self.dim
+        pts = np.zeros((d, n, d))
+        pts[range(d), :, range(d)] = self.axis()
+        return pts.reshape(d * n, d)
 
     def to_dict(self):
         w = self.spin.w
@@ -375,19 +372,20 @@ def validate_model(cfg):
     symmetry, a flat axis, degenerate level differences, non-Hermitian or
     oversized couplings, a disconnected level graph, or a bath profile
     with nonzero weight at zero frequency.  d < 4 only degrades the bath
-    decay guarantees, so it is reported as a warning.
+    decay guarantees, so it is reported as a warning.  The dispersion
+    checks read the grid's d N axis points (`ModelConfig.axis_points`).
     """
     checks = []
-    kpts = cfg.grid_points()
-    eps = dispersion_eval(cfg.dispersion, kpts, dim=cfg.dim)
-    eps_neg = dispersion_eval(cfg.dispersion, -kpts, dim=cfg.dim)
-    sym = float(np.max(np.abs(eps - eps_neg))) if len(kpts) else 0.0
+    kpts = cfg.axis_points()
+    eps = dispersion_eval(cfg.dispersion, kpts)
+    eps_neg = dispersion_eval(cfg.dispersion, -kpts)
+    sym = float(np.max(np.abs(eps - eps_neg)))
     checks.append(Check(
         "dispersion_inversion_symmetry", sym == 0.0, "error",
         f"max |eps(k) - eps(-k)| = {sym:.3e}",
     ))
 
-    grad = dispersion_grad(cfg.dispersion, kpts, dim=cfg.dim)
+    grad = dispersion_grad(cfg.dispersion, kpts)
     flat_axes = [i for i in range(cfg.dim) if np.max(np.abs(grad[:, i])) <= 1e-12]
     checks.append(Check(
         "dispersion_not_constant", not flat_axes, "error",

@@ -359,12 +359,12 @@ class DecayFit:
 CONE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _sup_on_sets(profile, times, radius_lists, dim):
+def _sup_on_sets(profile, times, radius_lists):
     """sup over sampled lattice |x| of |psi(x, t)| for each time."""
     xs, ts, owner = [], [], []
     for i, (t, radii) in enumerate(zip(times, radius_lists)):
         for r in sorted(set(radii)):
-            vec = np.zeros(dim)
+            vec = np.zeros(profile.dim)
             vec[0] = r
             xs.append(vec)
             ts.append(t)
@@ -391,7 +391,7 @@ def check_subluminal_decay(profile, v_star, t_max):
         raise ValueError(f"t_max must exceed 5, got {t_max}")
     times = np.linspace(5.0, t_max, 20)
     radii = [[round(f * v_star * t) for f in CONE_FRACTIONS] for t in times]
-    sup = _sup_on_sets(profile, times, radii, profile.dim)
+    sup = _sup_on_sets(profile, times, radii)
     slope, _, _, r2 = _log_fit(times, sup, "cone")
     rate = -slope
     warning = ""
@@ -431,7 +431,7 @@ def fit_sup_power(profile, t_min, t_max):
         near_cone = {int(math.floor(t)) - 1, int(math.floor(t)), int(math.ceil(t)) + 1}
         inner = {0, int(round(0.25 * t)), int(round(0.5 * t)), int(round(0.75 * t))}
         radius_lists.append([r for r in near_cone | inner if r >= 0])
-    sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
+    sup = _sup_on_sets(profile, times, radius_lists)
     power, log_amp, keep, _ = _log_fit(np.log1p(times), sup, "sup")
     return power, float(np.exp(log_amp)), times[keep], sup[keep]
 
@@ -462,7 +462,7 @@ def check_time_integrability(profile, t_max):
         radii = {0, int(round(0.5 * t)), int(round(0.75 * t)),
                  int(math.floor(t)), int(math.ceil(t)) + 1}
         radius_lists.append([r for r in radii if r >= 0])
-    sup = _sup_on_sets(profile, times, radius_lists, profile.dim)
+    sup = _sup_on_sets(profile, times, radius_lists)
     partial = float(np.trapezoid(sup, times))
     upper = times >= max(5.0, t_max / 8.0)
     power, log_amp, _, _ = _log_fit(np.log1p(times[upper]), sup[upper], "sup")

@@ -159,9 +159,9 @@ def _spectrum_top(cfg, table, p, near=None):
 
 
 def _max_velocity(cfg):
-    """max |grad eps| over the momentum grid."""
-    return float(np.abs(dispersion_grad(cfg.dispersion, cfg.grid_points(),
-                                        dim=cfg.dim)).max())
+    """max |grad eps| over the momentum grid, read on its axes."""
+    grad = dispersion_grad(cfg.dispersion, cfg.axis_points())
+    return float(np.abs(grad).max())
 
 
 def perron_curve(cfg, table, p_list):

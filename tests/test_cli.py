@@ -666,3 +666,22 @@ def test_dense_fiber_over_budget_exits_two_with_one_json_line(tmp_path, argv):
     assert error["error"] == "DenseSizeError"
     assert "131072 rows" in error["message"] and "384 GiB" in error["message"]
     assert list(tmp_path.iterdir()) == [tmp_path / "model.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("simulate", "--traj", "256", "--tfinal", "1"),
+], ids=["validate", "simulate"])
+def test_four_dimensions_at_the_default_grid_exit_zero(tmp_path, argv):
+    # neither command samples the N^d grid: reference_2d at d = 4 and
+    # N = 128 has 2^28 grid momenta, 2 GiB per coordinate, against the
+    # child's 3 GiB address-space limit
+    base = reference_2d(n_k=128, m_dir=16)
+    cfg = dataclasses.replace(base, dim=4,
+                              bath=dataclasses.replace(base.bath, dim=4))
+    out = tmp_path / "out.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "latticediff.cli", argv[0], "--config",
+         _write_config(tmp_path, cfg), "--out", str(out), *argv[1:]],
+        capture_output=True, text=True, preexec_fn=_address_limit)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "manifest_hash" in json.loads(out.read_text())

@@ -71,6 +71,51 @@ def test_inversion_symmetry_exact_on_grid(ref1d):
     assert np.max(np.abs(eps - eps_neg)) == 0.0
 
 
+def _full_grid_oracle(cfg):
+    """Inversion defect and per-axis max |grad eps| on all N^d grid points."""
+    k = cfg.grid_points()
+    sym = np.max(np.abs(dispersion_eval(cfg.dispersion, k)
+                        - dispersion_eval(cfg.dispersion, -k)))
+    return float(sym), np.abs(dispersion_grad(cfg.dispersion, k)).max(axis=0)
+
+
+@st.composite
+def _separable_models(draw):
+    """reference_1d's levels and bath in d = 1-3 under random cosine-series
+    rows of 1-3 harmonics, an all-zero (flat) row allowed."""
+    dim = draw(st.integers(1, 3))
+    harmonics = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+    rows = tuple(tuple(draw(st.one_of(harmonics, st.just([0.0, 0.0]))))
+                 for _ in range(dim))
+    base = reference_1d()
+    return dataclasses.replace(
+        base, dim=dim, bath=dataclasses.replace(base.bath, dim=dim),
+        dispersion=DispersionSpec("cosine_series", coefficients=rows),
+        grid=GridSpec(points_per_axis=draw(st.sampled_from([2, 4, 6, 8, 16]))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_separable_models())
+def test_axis_points_stand_in_for_the_grid(cfg):
+    # eps is a sum of per-axis terms that vanish with their slopes at 0, so
+    # the d N axis points read the N^d grid's values bitwise
+    from latticediff.spectral import _max_velocity
+
+    sym, speed = _full_grid_oracle(cfg)
+    axes = np.abs(dispersion_grad(cfg.dispersion, cfg.axis_points()))
+    assert axes.max(axis=0).tobytes() == speed.tobytes()
+    flat = [i for i in range(cfg.dim) if speed[i] <= 1e-12]
+    checks = {c["name"]: c for c in validate_model(cfg).to_dict()["checks"]}
+    assert checks["dispersion_inversion_symmetry"] == {
+        "name": "dispersion_inversion_symmetry", "passed": sym == 0.0,
+        "severity": "error", "detail": f"max |eps(k) - eps(-k)| = {sym:.3e}"}
+    assert checks["dispersion_not_constant"] == {
+        "name": "dispersion_not_constant", "passed": not flat,
+        "severity": "error",
+        "detail": f"flat axes: {flat}" if flat else "all axes dispersive"}
+    assert _max_velocity(cfg) == float(speed.max())
+
+
 def test_grid_spec_rejects_odd_count():
     with pytest.raises(ValidationError):
         GridSpec(points_per_axis=127)

@@ -36,6 +36,15 @@ def test_diagrams_run_leaves_out_scipy_integrate_and_optimize():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_only_the_dense_fiber_reads_the_full_grid():
+    # the dispersion is separable: every per-axis question reads the d N
+    # axis points, and only the dense fiber samples all N^d grid momenta
+    src = Path(latticediff.__file__).parent
+    callers = sorted(path.name for path in src.glob("*.py")
+                     if ".grid_points(" in path.read_text())
+    assert callers == ["generator.py"]
+
+
 def test_cli_runs_leave_out_scipy_special_and_linalg(tmp_path):
     # sphere's Bessel averages and polar rule and spectral's shifted solves
     # are numpy: a diffusion run on the 2-d reference and a 3-d rates run

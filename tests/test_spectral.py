@@ -523,7 +523,7 @@ def test_velocity_rows_orthogonal_to_kernel(ref1d):
     # stationary state Gibbs x uniform vanishes
     pi = _gibbs_ansatz(ref1d)
     pi /= pi.sum()
-    grad = dispersion_grad(ref1d.dispersion, ref1d.grid_points(), dim=1)
+    grad = dispersion_grad(ref1d.dispersion, ref1d.grid_points())
     assert abs(np.tile(grad[:, 0], 2) @ pi) <= 1e-12 * np.abs(grad).max()
 
 
@@ -553,7 +553,7 @@ def _ifftn_formula(cfg, table):
     beta_i = ifftn(d_i eps) of the sampled velocity: the reference for the
     solve on the support of beta alone."""
     d, n_axis = cfg.dim, cfg.grid.points_per_axis
-    grad = dispersion_grad(cfg.dispersion, cfg.grid_points(), dim=d)
+    grad = dispersion_grad(cfg.dispersion, cfg.grid_points())
     beta = np.fft.ifftn(grad.T.reshape((d,) + (n_axis,) * d),
                         axes=tuple(range(1, d + 1))).reshape(d, -1)[:, 1:]
     blocks = _grid_mode_blocks(table, n_axis)[1:]
