@@ -50,6 +50,38 @@ UNHASHED = frozenset({"command", "func", "wall_time", "threads", "config",
                       "out", "matrix_out", "decay_check", "dump_paths"})
 
 
+def _nonfinite(value, path=""):
+    """Paths (JSON-pointer style) of the floats in nested dicts and lists
+    that are not finite."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [path]
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, (list, tuple)) else ())
+    return [p for k, v in items for p in _nonfinite(v, f"{path}/{k}")]
+
+
+def _render(where, stamp, content):
+    """The text of one output: JSON for a dict, else CSV stamped with
+    `stamp`.  A float that is not finite, which neither format can hold,
+    raises `NumericError` naming `where` and the field."""
+    if isinstance(content, dict):
+        try:
+            return json.dumps(content, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError:
+            bad = _nonfinite(content)
+    else:
+        header, rows = content
+        if all(all(map(math.isfinite, row)) for row in rows):
+            return "\n".join(
+                [f"# manifest: {stamp}", ",".join(header)]
+                + [",".join(repr(v) if isinstance(v, float) else str(v)
+                            for v in row) for row in rows]) + "\n"
+        bad = _nonfinite([dict(zip(header, row)) for row in rows])
+    raise NumericError(f"{where}: not finite at {', '.join(bad)}; "
+                       "JSON and CSV hold finite numbers only")
+
+
 def _emit(args, config_hash, seed, files):
     """Write every output of a run, each stamped with the manifest hash,
     then the run manifest next to the first output.
@@ -59,11 +91,14 @@ def _emit(args, config_hash, seed, files):
     path is skipped.  The hash covers the command, config hash, seed,
     versions and, as `flags`, every parsed argument outside `UNHASHED`;
     the config path, outputs and wall time are recorded, not hashed.  With
-    no path at all, the first content is printed as JSON.
+    no path at all, the first content is printed as JSON.  Every output is
+    rendered before the first file opens: a float that is not finite
+    raises `NumericError` naming the file and the field, and nothing is
+    written.
     """
     written = [(path, content) for path, content in files if path]
     if not written:
-        print(json.dumps(files[0][1], indent=2, sort_keys=True))
+        sys.stdout.write(_render("stdout", None, files[0][1]))
         return
     flags = {k: v for k, v in vars(args).items() if k not in UNHASHED}
     manifest = {"command": args.command, "config_hash": config_hash,
@@ -75,18 +110,12 @@ def _emit(args, config_hash, seed, files):
     manifest["wall_time_s"] = round(args.wall_time(), 3)
     written.append((os.path.splitext(written[0][0])[0] + ".manifest.json",
                     manifest))
-    for path, content in written:
+    texts = [(path, _render(path, stamp, {**content, "manifest_hash": stamp}
+                            if isinstance(content, dict) else content))
+             for path, content in written]
+    for path, text in texts:
         with open(path, "w") as fh:
-            if isinstance(content, dict):
-                json.dump({**content, "manifest_hash": stamp}, fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-            else:
-                header, rows = content
-                fh.write(f"# manifest: {stamp}\n" + ",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(v) if isinstance(v, float)
-                                      else str(v) for v in row) + "\n")
+            fh.write(text)
 
 
 def _parse_vector(text, dim=None):

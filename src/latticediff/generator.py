@@ -455,7 +455,9 @@ def assemble_fiber(cfg, table, p, bohr=0.0, lamb_shifts=None):
                           kinetic=kinetic, gain=gain, loss=loss)
 
     pair = _level_pair(levels, bohr)
-    shift = 0.0 if lamb_shifts is None else float(lamb_shifts.get(float(bohr), 0.0))
+    # lamb_shift keys each channel by its exact level difference, not `bohr`
+    gap = float(levels[pair[0]] - levels[pair[1]])
+    shift = 0.0 if lamb_shifts is None else float(lamb_shifts.get(gap, 0.0))
     diag = (-1j * (shift + delta_eps)
             - 0.5 * (rates[pair[0]] + rates[pair[1]]))
     return FiberBlock(p=tuple(p), bohr=float(bohr), matrix=np.diag(diag),

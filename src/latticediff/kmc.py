@@ -8,11 +8,12 @@ continuous (no grid), which makes the sampler the higher-fidelity oracle
 against grid-based spectral results.
 
 Trajectories are simulated in fixed-size blocks, each with its own
-counter-keyed Philox stream, and block statistics are reduced by a
-deterministic pairwise tree: results are bit-reproducible for a fixed seed
-and independent of the worker thread count.
+counter-keyed Philox stream, and block statistics are folded in block
+order: results are bit-reproducible for a fixed seed and independent of
+the worker thread count.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -201,18 +202,6 @@ def _simulate_block(proc, n, t_final, seed, block_index, probes):
     return stats
 
 
-def _tree_reduce(items):
-    items = list(items)
-    while len(items) > 1:
-        paired = []
-        for i in range(0, len(items) - 1, 2):
-            paired.append(items[i].merge(items[i + 1]))
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
-
-
 @dataclass(frozen=True)
 class CgfEstimate:
     probe: tuple
@@ -299,13 +288,9 @@ def run_ensemble(cfg, n_traj, t_final, probes=(), table=None, threads=1,
         b, size = args
         return _simulate_block(proc, size, t_final, cfg.rng_seed, b, probes)
 
-    jobs = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(job, jobs))
-    else:
-        blocks = [job(j) for j in jobs]
-    total = _tree_reduce(blocks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        total = functools.reduce(_BlockStats.merge,
+                                 pool.map(job, enumerate(sizes)))
 
     n = total.count
     d = cfg.dim

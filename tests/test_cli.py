@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import resource
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from latticediff.model import SpinSystem
+from latticediff import cli
+from latticediff.model import DispersionSpec, NumericError, SpinSystem
 from latticediff.presets import reference_1d, reference_2d
 from latticediff.reservoir import psi_xt
 
@@ -397,6 +399,40 @@ def test_simulate_reproducible_across_runs_and_threads(tmp_path, config_path):
     assert outs[0] == outs[2]
 
 
+def test_output_that_is_not_finite_exits_one_and_writes_nothing(
+        tmp_path, small_cfg):
+    # an amplitude of 6e307 passes validation, but the walk overflows and
+    # the diffusion estimate is NaN, which JSON cannot hold
+    cfg = dataclasses.replace(small_cfg, dispersion=DispersionSpec(
+        "cosine_series", coefficients=(6e307,)))
+    out = tmp_path / "stats.json"
+    result = _run("simulate", "--config", _write_config(tmp_path, cfg),
+                  "--traj", "256", "--tfinal", "1", "--out", str(out))
+    assert result.returncode == 1
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert error["error"] == "NumericError"
+    assert error["message"].startswith(f"{out}: ")
+    assert "/diffusion/0/0" in error["message"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "model.json"]
+
+
+@pytest.mark.parametrize("files,where,fields", [
+    ([(None, {"a": [1.0, float("nan")], "b": {"c": float("inf")}})],
+     "stdout", "/a/1, /b/c"),
+    ([("out.json", {"a": 1.0}), ("rows.csv", (["t", "re"], [
+        (0.0, 1.0), (1.0, -float("inf"))]))], "rows.csv", "/1/re"),
+], ids=["stdout", "csv"])
+def test_emit_refuses_values_that_are_not_finite(tmp_path, monkeypatch,
+                                                 capsys, files, where, fields):
+    monkeypatch.chdir(tmp_path)
+    args = argparse.Namespace(command="test", wall_time=lambda: 0.0)
+    with pytest.raises(NumericError) as exc:
+        cli._emit(args, "hash", 0, files)
+    assert str(exc.value).startswith(f"{where}: not finite at {fields};")
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_dump_paths(tmp_path, config_path):
     out = tmp_path / "stats.json"
     paths = tmp_path / "paths.csv"
@@ -596,16 +632,14 @@ def test_help_exits_zero():
 
 
 def test_diagrams_report_records_samples_drawn(tmp_path):
-    # --samples 1 puts every Monte Carlo shape at its floor: 16 strata of 64
-    # for each minimally irreducible shape of size 2..4, 16 strata of 128
-    # (a 2048 budget) for each irreducible one; size 1 is a closed form
-    from latticediff.diagrams import irreducible_shapes
-
+    # --samples 1 puts every Monte Carlo shape at its floor, each sampled
+    # once: 16 strata of 64 for the minimally irreducible shape of size
+    # 2..4, 16 strata of 128 (a 2048 budget) for each other irreducible one
+    # (2 - 1 + 10 - 1 + 74 - 1 = 83); size 1 is a closed form
     out = tmp_path / "d1.json"
     result = _run("diagrams", "--check-d1", "--samples", "1", "--out", str(out))
     assert result.returncode == 0
-    n_irreducible = sum(len(irreducible_shapes(n)) for n in (2, 3, 4))
-    assert json.loads(out.read_text())["samples"] == 3 * 16 * 64 + n_irreducible * 2048
+    assert json.loads(out.read_text())["samples"] == 3 * 16 * 64 + 83 * 2048
     manifest = json.loads((tmp_path / "d1.manifest.json").read_text())
     assert manifest["flags"]["samples"] == "1"
 

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from latticediff import diagrams
 from latticediff.diagrams import (DiagramError, PreconditionError, _norm,
                                   check_lemma_bounds, classify,
                                   double_factorial_odd, enumerate_pairings,
@@ -177,3 +179,54 @@ def test_lemma_bounds_nonzero_laplace_variable():
                                 n_max=3, mc_samples=60000, seed=4)
     assert report.passed
     assert report.norms["exp_weighted"] < report.norms["exp_shift_weighted"]
+
+
+def test_each_irreducible_shape_is_sampled_once_into_one_table(monkeypatch):
+    calls = []
+    sample = diagrams._shape_laplace_mc
+
+    def spy(k, a, shape, budget, t_max, seed):
+        calls.append((shape, budget, sample(k, a, shape, budget, t_max, seed)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(diagrams, "_shape_laplace_mc", spy)
+    n_max, mc_samples = 3, 60000
+    report = check_lemma_bounds(lambda t: 0.05 * np.exp(-t), 0.0, n_max=n_max,
+                                mc_samples=mc_samples, seed=2)
+    for n in range(1, n_max + 1):
+        shapes = [dc for dc in enumerate_pairings(n)
+                  if classify(dc) != "reducible"]
+        budget = max(2048, mc_samples // (n_max * len(shapes)))
+        assert [(shape, used) for shape, used, _ in calls if shape.size == n] \
+            == [(dc, mc_samples // n_max if dc == mir_shape(n) else budget)
+                for dc in shapes]
+    # each estimate sums its shapes' entries of that one table, bitwise
+    for check, keep in ((report.minimally_irreducible,
+                         lambda dc: dc == mir_shape(dc.size)),
+                        (report.irreducible, lambda dc: True),
+                        (report.irreducible_two_plus, lambda dc: dc.size >= 2)):
+        rows = [result for shape, _, result in calls if keep(shape)]
+        assert check.estimate == sum((est for est, _, _ in rows), 0.0)
+        assert check.sigma == math.sqrt(sum(sig ** 2 for _, sig, _ in rows))
+    assert report.samples == sum(used for _, _, (_, _, used) in calls)
+
+
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_report_dict_is_its_fields_plus_passed(n_max):
+    report = check_lemma_bounds(lambda t: 0.05 * np.exp(-t), 0.0, n_max=n_max,
+                                mc_samples=6000, seed=1)
+
+    def check(c):
+        return {"estimate": c.estimate, "sigma": c.sigma, "bound": c.bound,
+                "passed": c.passed}
+
+    by_hand = {
+        "norms": report.norms,
+        "minimally_irreducible": check(report.minimally_irreducible),
+        "irreducible": check(report.irreducible),
+        "irreducible_two_plus": check(report.irreducible_two_plus),
+        "passed": report.passed,
+        "samples": report.samples,
+    }
+    assert (json.dumps(report.to_dict(), indent=2, sort_keys=True)
+            == json.dumps(by_hand, indent=2, sort_keys=True))

@@ -14,7 +14,7 @@ from latticediff.generator import (GeneratorError, _fold, _sectors,
 from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                NumericError, SpinSystem, validate_model)
 from latticediff.presets import flat_dispersion_1d, reference_1d, reference_2d
-from latticediff.reservoir import BathProfile
+from latticediff.reservoir import BathProfile, lamb_shift
 from latticediff.spectral import (_rayleigh, _start_vector,
                                   diffusion_tensor_formula, perron_curve)
 
@@ -135,6 +135,20 @@ def test_coherence_block_carries_lamb_shift(ref1d, ref1d_table):
     assert np.allclose(diff, -0.25j)
     assert np.array_equal(np.diag(block.matrix).real,
                           np.diag(plain.matrix).real)
+
+
+def test_lamb_shift_found_for_a_bohr_frequency_within_tolerance():
+    # 0.1 + 0.2 != 0.3 in floats, but it names the same level pair
+    cfg = dataclasses.replace(
+        reference_1d(n_k=16),
+        spin=SpinSystem(levels=(0.0, 0.3), couplings=((0, 1), (1, 0))))
+    table = build_rate_table(cfg)
+    shifts = lamb_shift(cfg.bath, cfg.spin)
+    assert shifts[0.3] != 0.0
+    near = assemble_fiber(cfg, table, np.zeros(1), 0.1 + 0.2, shifts)
+    exact = assemble_fiber(cfg, table, np.zeros(1), 0.3, shifts)
+    assert np.array_equal(near.matrix, exact.matrix)
+    assert np.all(np.diag(near.matrix).imag == -shifts[0.3])
 
 
 def _assert_symmetric_flux(cfg, block):

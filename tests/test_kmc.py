@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -297,6 +298,29 @@ def test_reproducible_across_thread_counts(ref1d, ref1d_table, monkeypatch):
     b = run_ensemble(ref1d, 70000, 8.0, table=ref1d_table, threads=4)
     assert np.array_equal(a.cov_x, b.cov_x)
     assert np.array_equal(a.k_hist, b.k_hist)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_blocks_fold_in_block_order(ref1d, ref1d_table, monkeypatch, threads):
+    # four blocks, the last one short
+    monkeypatch.setattr(kmc, "BLOCK_SIZE", 1024)
+    probes = [np.array([0.1]), np.array([0.3])]
+    stats = run_ensemble(ref1d, 3 * 1024 + 500, 6.0, probes=probes,
+                         table=ref1d_table, threads=threads)
+    proc = kmc._Process(ref1d_table)
+    total = functools.reduce(kmc._BlockStats.merge, [
+        kmc._simulate_block(proc, size, 6.0, ref1d.rng_seed, b, probes)
+        for b, size in enumerate([1024, 1024, 1024, 500])])
+    n = total.count
+    assert stats.n_traj == n
+    assert np.array_equal(stats.mean_x, total.sum_x / n)
+    assert np.array_equal(stats.k_hist, total.k_counts)
+    assert np.array_equal(stats.level_hist, total.level_counts)
+    mean_x = total.sum_x / n
+    assert np.array_equal(
+        stats.cov_x, (total.sum_xx / n - np.outer(mean_x, mean_x)) * n / (n - 1))
+    assert [c.sample_mean for c in stats.cgf] == [
+        complex(s / n) for s in total.cgf_sum]
 
 
 def test_probe_dimension_checked_before_any_walker_runs(monkeypatch):
