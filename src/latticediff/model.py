@@ -27,10 +27,10 @@ class NumericError(Exception):
 class DispersionSpec:
     """Periodic dispersion on the torus [-pi, pi)^d.
 
-    kind "nearest_neighbor" is eps(k) = sum_i 2 (1 - cos k_i).  kind
-    "cosine_series" is eps(k) = sum_i sum_m c[i][m-1] (1 - cos(m k_i)),
-    with one amplitude list per axis (a flat list is broadcast to all
-    axes).  Both are even in k by construction.
+    kind "nearest_neighbor" is eps(k) = sum_i 2 (1 - cos k_i), and takes
+    no coefficients.  kind "cosine_series" is eps(k) = sum_i sum_m
+    c[i][m-1] (1 - cos(m k_i)), with one amplitude list per axis (a flat
+    list is broadcast to all axes).  Both are even in k by construction.
     """
 
     kind: str
@@ -39,6 +39,10 @@ class DispersionSpec:
     def __post_init__(self):
         if self.kind not in ("nearest_neighbor", "cosine_series"):
             raise ValidationError(f"unknown dispersion kind {self.kind!r}")
+        if self.kind == "nearest_neighbor" and len(self.coefficients):
+            raise ValidationError(
+                "dispersion.coefficients must be empty for kind "
+                f"'nearest_neighbor', got {list(self.coefficients)!r}")
         if self.kind == "cosine_series":
             coeffs = self.coefficients
             if coeffs and not isinstance(coeffs[0], (tuple, list)):
@@ -369,7 +373,8 @@ def validate_model(cfg):
     """Check the standing assumptions; returns a ValidationReport.
 
     Deterministic and side-effect free.  Hard failures: broken inversion
-    symmetry, a flat axis, degenerate level differences, non-Hermitian or
+    symmetry, a flat axis, a velocity whose walk leaves float64's range
+    at unit time, degenerate level differences, non-Hermitian or
     oversized couplings, a disconnected level graph, or a bath profile
     with nonzero weight at zero frequency.  d < 4 only degrades the bath
     decay guarantees, so it is reported as a warning.  The dispersion
@@ -391,6 +396,16 @@ def validate_model(cfg):
         "dispersion_not_constant", not flat_axes, "error",
         f"flat axes: {flat_axes}" if flat_axes else "all axes dispersive",
     ))
+
+    # float64 range of the walk and of the Hessian's retry step: by t = 1 a
+    # walker is at |x| <= v_max, and KMC's standard errors sum x^4 over up
+    # to 2^64 walkers, so v_max <= 2^240; 1 / v_max^2, which the squared
+    # retry step 1e-3 gap0 / v_max carries, is then normal too
+    v_max, limit = float(np.abs(grad).max()), 2.0 ** 240
+    checks.append(Check(
+        "velocity_in_float_range", v_max <= limit, "error",
+        f"max |grad eps| = {v_max:.3e}, at most 2^240 = {limit:.3e}: KMC "
+        "sums |x|^4 <= (max |grad eps| t)^4 per walker"))
 
     e = np.asarray(cfg.spin.levels)
     increasing = bool(np.all(np.diff(e) > 0)) if len(e) > 1 else True

@@ -75,7 +75,7 @@ class BathProfile:
 
     def __post_init__(self):
         if self.kind not in ("builtin_gaussian", "tabulated"):
-            raise ValueError(f"unknown bath kind {self.kind!r}")
+            raise ValidationError(f"unknown bath kind {self.kind!r}")
         if not self.beta > 0:
             raise ValueError("beta must be strictly positive")
         if self.kind == "builtin_gaussian" and not (
@@ -140,7 +140,7 @@ class BathProfile:
     @staticmethod
     def from_dict(data, beta, dim):
         kind = data.get("kind", "builtin_gaussian")
-        if kind == "builtin_gaussian":
+        if kind != "tabulated":  # BathProfile names a kind it does not know
             return BathProfile(kind=kind, beta=beta, dim=dim,
                                cutoff=_real(data, "cutoff", 2.0))
         return BathProfile(
@@ -242,15 +242,18 @@ def _zero_point_scale(profile):
     return float(weights @ both) * surface_area(profile.dim)
 
 
-def _check_refinement(profile, fine, coarse, rel_tol, n_terms, what):
-    """Raise unless |fine - coarse| <= rel_tol |fine| + n_terms eps |psi(0, 0)|.
+def _roundoff_floor(profile, n_terms):
+    """n_terms eps |psi(0, 0)|: psi_hat >= 0 makes |psi(0, 0)| the largest
+    |psi|, so this bounds the float error of an n_terms-term sum of
+    psi-sized terms."""
+    return n_terms * np.finfo(float).eps * abs(_zero_point_scale(profile))
 
-    psi_hat >= 0 makes |psi(0, 0)| the largest |psi|, so the second term
-    bounds the float error of an n_terms-term sum of psi-sized terms: where
-    |psi| is at roundoff, the two rules may disagree by that much.
-    """
+
+def _check_refinement(profile, fine, coarse, rel_tol, n_terms, what):
+    """Raise unless |fine - coarse| <= rel_tol |fine| + `_roundoff_floor`:
+    where |psi| is at roundoff, the two rules may disagree by that much."""
     move = np.abs(fine - coarse)
-    floor = n_terms * np.finfo(float).eps * abs(_zero_point_scale(profile))
+    floor = _roundoff_floor(profile, n_terms)
     worst = float(np.max(move / (rel_tol * np.abs(fine) + floor)))
     if worst > 1.0:
         raise QuadratureError(
@@ -349,10 +352,11 @@ def gain_coefficient_position(profile, a, x):
 @dataclass(frozen=True)
 class DecayFit:
     v_star: float
-    rate: float
+    rate: float          # None (as r_squared and passed) when unresolved
     r_squared: float
     passed: bool
     warning: str
+    resolved_samples: int  # cone samples above the roundoff floor, of 20
 
 
 # Fractions of the cone radius v* t sampled at each time by the decay check.
@@ -360,7 +364,8 @@ CONE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _sup_on_sets(profile, times, radius_lists):
-    """sup over sampled lattice |x| of |psi(x, t)| for each time."""
+    """sup over sampled lattice |x| of |psi(x, t)| for each time, from the
+    unchecked rule, and that rule's `_roundoff_floor`."""
     xs, ts, owner = [], [], []
     for i, (t, radii) in enumerate(zip(times, radius_lists)):
         for r in sorted(set(radii)):
@@ -369,20 +374,22 @@ def _sup_on_sets(profile, times, radius_lists):
             xs.append(vec)
             ts.append(t)
             owner.append(i)
-    vals = np.abs(psi_xt_batch(profile, np.array(xs), np.array(ts), check=False))
+    vals, n_terms = _psi_batch_raw(profile, np.array(xs), np.array(ts), 1)
     sup = np.zeros(len(times))
-    for v, i in zip(vals, owner):
+    for v, i in zip(np.abs(vals), owner):
         sup[i] = max(sup[i], v)
-    return sup
+    return sup, _roundoff_floor(profile, n_terms)
 
 
 def check_subluminal_decay(profile, v_star, t_max):
     """Fit an exponential decay rate to sup |psi| on the cone |x| <= v* t.
 
     Samples lattice points along an axis (rotational invariance makes the
-    axis choice immaterial), fits log sup |psi| against t by least squares
-    at 20 times on [5, t_max], and reports the rate and fit quality.  The
-    rate degrades as v* approaches the unit propagation speed of the bath,
+    axis choice immaterial) at 20 times on [5, t_max], and fits log sup
+    |psi| against t by least squares over the samples above the rule's
+    roundoff floor, where |psi| is resolved; with fewer than 5 the fit is
+    unresolved, and its rate, R^2 and `passed` are None.  The rate
+    degrades as v* approaches the unit propagation speed of the bath,
     which is flagged as a warning for v* >= 0.9.
     """
     if not 0.0 < v_star < 1.0:
@@ -391,17 +398,19 @@ def check_subluminal_decay(profile, v_star, t_max):
         raise ValueError(f"t_max must exceed 5, got {t_max}")
     times = np.linspace(5.0, t_max, 20)
     radii = [[round(f * v_star * t) for f in CONE_FRACTIONS] for t in times]
-    sup = _sup_on_sets(profile, times, radii)
-    slope, _, _, r2 = _log_fit(times, sup, "cone")
-    rate = -slope
+    sup, floor = _sup_on_sets(profile, times, radii)
+    resolved = sup > floor
     warning = ""
     if v_star >= 0.9:
         warning = ("v_star close to the bath propagation speed: "
                    "the fitted decay rate degrades toward zero")
-    return DecayFit(
-        v_star=v_star, rate=rate, r_squared=r2,
-        passed=bool(rate > 0 and r2 >= 0.95), warning=warning,
-    )
+    rate = r2 = passed = None
+    if resolved.sum() >= 5:
+        slope, _, _, r2 = _log_fit(times[resolved], sup[resolved], "cone")
+        rate = -slope
+        passed = bool(rate > 0 and r2 >= 0.95)
+    return DecayFit(v_star=v_star, rate=rate, r_squared=r2, passed=passed,
+                    warning=warning, resolved_samples=int(resolved.sum()))
 
 
 def _log_fit(x, sup, what):
@@ -431,7 +440,7 @@ def fit_sup_power(profile, t_min, t_max):
         near_cone = {int(math.floor(t)) - 1, int(math.floor(t)), int(math.ceil(t)) + 1}
         inner = {0, int(round(0.25 * t)), int(round(0.5 * t)), int(round(0.75 * t))}
         radius_lists.append([r for r in near_cone | inner if r >= 0])
-    sup = _sup_on_sets(profile, times, radius_lists)
+    sup, _ = _sup_on_sets(profile, times, radius_lists)
     power, log_amp, keep, _ = _log_fit(np.log1p(times), sup, "sup")
     return power, float(np.exp(log_amp)), times[keep], sup[keep]
 
@@ -462,7 +471,7 @@ def check_time_integrability(profile, t_max):
         radii = {0, int(round(0.5 * t)), int(round(0.75 * t)),
                  int(math.floor(t)), int(math.ceil(t)) + 1}
         radius_lists.append([r for r in radii if r >= 0])
-    sup = _sup_on_sets(profile, times, radius_lists)
+    sup, _ = _sup_on_sets(profile, times, radius_lists)
     partial = float(np.trapezoid(sup, times))
     upper = times >= max(5.0, t_max / 8.0)
     power, log_amp, _, _ = _log_fit(np.log1p(times[upper]), sup[upper], "sup")

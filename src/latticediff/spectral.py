@@ -20,10 +20,10 @@ inversion of the non-free axes when the harmonics are odd
 (`generator._fold`): of the x_F = 0 sector, plus whatever sector the
 detailed-balance bound of its mode blocks (`generator._mode_bounds`)
 cannot rule out of the bulk (`_spectrum_top`).  The Hessian (unfolded
-x_F = 0 sectors of the center and the 2d axis points, as D is diagonal and
-h^-2 would amplify the fold's ~1e-15 defect) and the stationary state use
-`_rayleigh`, one solve a sweep: by detailed balance a sector's left vector
-is Pi^-1 J v.
+x_F = 0 sectors of the center and the 4d axis points, 4d + 1 per tensor
+and 4d more on a retry, as D is diagonal and h^-2 would amplify the fold's
+~1e-15 defect) and the stationary state use `_rayleigh`, one solve a
+sweep: by detailed balance a sector's left vector is Pi^-1 J v.
 """
 
 import math
@@ -32,9 +32,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .generator import (_by_sector, _fold, _grid_mode_blocks, _left_map,
-                        _level_pair, _mode_blocks, _mode_bounds, _sectors,
-                        _split_axes, assemble_fiber, build_rate_table,
-                        escape_rates)
+                        _mode_blocks, _mode_bounds, _sectors, _split_axes,
+                        assemble_fiber, build_rate_table, escape_rates)
 from .model import NumericError, dispersion_grad
 from .sphere import plane_wave_average
 
@@ -201,13 +200,6 @@ def perron_curve(cfg, table, p_list):
     return points
 
 
-def coherence_top(table, bohr):
-    """Exact max real part of an a != 0 fiber: -(j(e) + j(e')) / 2."""
-    rates = escape_rates(table)
-    i, j = _level_pair(np.asarray(table.levels), bohr)
-    return -0.5 * (rates[i] + rates[j])
-
-
 @dataclass(frozen=True)
 class GapReport:
     g_low: float
@@ -227,7 +219,8 @@ def spectral_gaps(cfg, table=None):
     g_low bounds the bulk below the tracked eigenvalue over the small
     fibers (and above it only the tracked branch survives); g_high bounds
     the whole spectrum away from the axis on the large fibers.  The a != 0
-    fibers are diagonal, so their tops come from the escape rates exactly.
+    fibers are diagonal, so the top of a channel's fiber (a its Bohr
+    frequency) is exactly -(j(source) + j(target)) / 2 in escape rates j.
     """
     if table is None:
         table = build_rate_table(cfg)
@@ -235,8 +228,9 @@ def spectral_gaps(cfg, table=None):
     p_small = [s * axis for s in (0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)]
     p_large = [s * axis for s in (math.pi / 2, 3 * math.pi / 4, math.pi)]
 
-    coherence = {a: coherence_top(table, a)
-                 for a in sorted({c.bohr for c in table.channels})}
+    rates = escape_rates(table)
+    coherence = {c.bohr: -0.5 * (rates[c.source] + rates[c.target])
+                 for c in table.channels}
     coh_max = max(coherence.values()) if coherence else -math.inf
 
     points = perron_curve(cfg, table, p_small)
@@ -264,31 +258,6 @@ def spectral_gaps(cfg, table=None):
     )
 
 
-def _hessian_once(cfg, table, h):
-    """Gradient and Hessian of the tracked eigenvalue from 2d + 1 points.
-
-    The center and the axis points +-h e_i (L N rows: the other d - 1 axes
-    are free) are evaluated; the off-diagonal entries are 0.  The
-    dispersion is a separable cosine series, so d_i eps lives on the modes
-    x = +-m e_i, and M(0) is block-diagonal over the modes: the term
-    <d_i eps, (-M(0))^-1 d_j eps pi> pairs no mode of axis i with one of
-    axis j.  The kicks and direction rules are also reflection symmetric
-    per axis, so lambda(p) is even in each p_j.  The tests check that on
-    the fibers, and the diagonal against `diffusion_tensor_formula`, whose
-    off-diagonal is 0 by the same mode argument.
-    """
-    def top(vec):
-        block = _sectors(cfg, table, vec, [0])[0]
-        return _rayleigh(block, _start_vector(table, block),
-                         _left_map(cfg, table, vec))[0]
-
-    center = top(np.zeros(cfg.dim))
-    steps = h * np.eye(cfg.dim)
-    fp = np.array([top(s) for s in steps])
-    fm = np.array([top(-s) for s in steps])
-    return (fp - fm) / (2 * h), np.diag((fp + fm - 2 * center) / h ** 2)
-
-
 @dataclass(frozen=True)
 class HessianDiffusion:
     tensor: np.ndarray
@@ -296,45 +265,65 @@ class HessianDiffusion:
     richardson_defect: float
 
 
-def _richardson(cfg, table, h):
-    """`HessianDiffusion` from steps h and h / 2."""
-    grad_h, hess_h = _hessian_once(cfg, table, h)
-    grad_2, hess_2 = _hessian_once(cfg, table, h / 2)
-    tensor = (hess_h - 4.0 * hess_2) / 3.0
-    scale = max(float(np.abs(tensor).max()), 1e-300)
-    return HessianDiffusion(
-        tensor=tensor,
-        gradient_norm=float(np.abs(np.concatenate([grad_h, grad_2])).max()),
-        richardson_defect=float(np.abs(hess_2 - hess_h).max()) / scale)
-
-
 def diffusion_tensor_hessian(cfg, table=None):
     """Diffusion tensor from central second differences of the fiber curve.
 
     The top eigenvalue behaves as -(1/2) p . D p near p = 0, so the tensor
-    is minus the finite-difference Hessian, at steps h and h / 2, from
-    2d + 1 points each, as D is diagonal (`_hessian_once`).  Both the
-    gradient (must vanish by inversion symmetry) and the step-halving
-    Richardson defect are diagnostics; the tensor is the extrapolant.
-    h = 1e-3 unless its defect fails the 1e-4 gate, then once h = 1e-3 gap0
-    / v_max (p = 0 gap of the mode blocks, max |grad eps| on the grid).  The
-    defect goes as ~0.4 (h v_max / gap0)^2, and no one rule min(1e-3,
-    c gap0 / v_max) serves all: reference_1d keeps h = 1e-3 for c >= 0.0192
-    only, and a model with |W_01| = 1/32 passes for c <~ 0.016 only.
+    is minus the finite-difference Hessian at steps h and h / 2, from the
+    center, solved once, and the axis points +-h e_i and +-(h / 2) e_i
+    (L N rows: the other d - 1 axes are free): 4d + 1 points.  The
+    off-diagonal entries are 0.  The dispersion is a separable cosine
+    series, so d_i eps lives on the modes x = +-m e_i, and M(0) is
+    block-diagonal over the modes: the term <d_i eps, (-M(0))^-1 d_j eps pi>
+    pairs no mode of axis i with one of axis j.  The kicks and direction
+    rules are also reflection symmetric per axis, so lambda(p) is even in
+    each p_j.  The tests check that on the fibers, and the diagonal against
+    `diffusion_tensor_formula`, whose off-diagonal is 0 by the same mode
+    argument.
+
+    Both the gradient (must vanish by inversion symmetry) and the
+    step-halving Richardson defect are diagnostics; the tensor is the
+    extrapolant.  h = 1e-3 unless its defect fails the 1e-4 gate, then once
+    h = 1e-3 gap0 / v_max (p = 0 gap of the mode blocks, max |grad eps| on
+    the grid), at 4d more points.  The defect goes as ~0.4 (h v_max /
+    gap0)^2, and no one rule min(1e-3, c gap0 / v_max) serves all:
+    reference_1d keeps h = 1e-3 for c >= 0.0192 only, and a model with
+    |W_01| = 1/32 passes for c <~ 0.016 only.
     """
     if table is None:
         table = build_rate_table(cfg)
-    result = _richardson(cfg, table, 1e-3)
-    if result.richardson_defect > 1e-4:
-        gap0 = -_spectrum_top(cfg, table, np.zeros(cfg.dim), 0.0)[1]
-        h = 1e-3 * gap0 / _max_velocity(cfg)
-        if (h / 2) ** 2 < np.finfo(float).tiny:
-            raise FDInconsistencyError(f"retry step {h:.2e}: h^2 underflows")
-        result = _richardson(cfg, table, h)
-    if result.richardson_defect > 1e-4:
-        raise FDInconsistencyError("Hessian step-halving moved the tensor by "
-                                   f"{result.richardson_defect:.2e} relative")
-    return result
+
+    def top(vec):
+        block = _sectors(cfg, table, vec, [0])[0]
+        return _rayleigh(block, _start_vector(table, block),
+                         _left_map(cfg, table, vec))[0]
+
+    center = top(np.zeros(cfg.dim))
+    h = 1e-3
+    for retry in (False, True):
+        if retry:
+            gap0 = -_spectrum_top(cfg, table, np.zeros(cfg.dim), 0.0)[1]
+            h = 1e-3 * gap0 / _max_velocity(cfg)
+            if (h / 2) ** 2 < np.finfo(float).tiny:
+                raise FDInconsistencyError(f"retry step {h:.2e}: h^2 underflows")
+        grads, hessians = [], []
+        for step in (h, h / 2):
+            axes = step * np.eye(cfg.dim)
+            fp = np.array([top(s) for s in axes])
+            fm = np.array([top(-s) for s in axes])
+            grads.append((fp - fm) / (2 * step))
+            hessians.append(np.diag((fp + fm - 2 * center) / step ** 2))
+        tensor = (hessians[0] - 4.0 * hessians[1]) / 3.0
+        scale = max(float(np.abs(tensor).max()), 1e-300)
+        result = HessianDiffusion(
+            tensor=tensor,
+            gradient_norm=float(np.abs(np.concatenate(grads)).max()),
+            richardson_defect=float(
+                np.abs(hessians[1] - hessians[0]).max()) / scale)
+        if not result.richardson_defect > 1e-4:
+            return result
+    raise FDInconsistencyError("Hessian step-halving moved the tensor by "
+                               f"{result.richardson_defect:.2e} relative")
 
 
 def _velocity_modes(cfg):

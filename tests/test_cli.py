@@ -130,6 +130,11 @@ def _malformed(data, case):
         "levels-missing": (("spin", "levels"), _MISSING),
         "omega-missing": (("bath",), {"kind": "tabulated",
                                       "values": [0.0, 1.0]}),
+        "nearest-neighbor-coefficients": (
+            ("dispersion",), {"kind": "nearest_neighbor",
+                              "coefficients": [1.0]}),
+        "bath-kind-string": (("bath", "kind"), "foo"),
+        "bath-kind-number": (("bath", "kind"), 5),
     }[case]
     node = data
     for key in path[:-1]:
@@ -149,7 +154,8 @@ def _malformed(data, case):
     "coefficients-number", "levels-number", "levels-nested", "beta-list",
     "omega-number", "coupling-short", "coupling-nested", "coupling-triple",
     "coupling-overflow", "beta-integer-overflow", "spin-missing",
-    "levels-missing", "omega-missing"])
+    "levels-missing", "omega-missing", "nearest-neighbor-coefficients",
+    "bath-kind-string", "bath-kind-number"])
 def test_malformed_config_exits_two(tmp_path, small_cfg, case):
     # refused when the config is read: no traceback, no warning, no report
     bad = tmp_path / "bad.json"
@@ -165,6 +171,27 @@ def test_malformed_config_exits_two(tmp_path, small_cfg, case):
         # the message names the key, not only its bare repr
         key = case.split("-")[0]
         assert key in error["message"] and error["message"] != repr(key)
+
+
+@pytest.mark.parametrize("case,named", [
+    ("nearest-neighbor-coefficients", "dispersion.coefficients"),
+    ("bath-kind-string", "unknown bath kind 'foo'"),
+    ("bath-kind-number", "unknown bath kind 5"),
+])
+def test_malformed_config_names_the_field_at_fault(tmp_path, small_cfg, case,
+                                                   named):
+    # a nearest-neighbour dispersion with amplitudes ended in a TypeError
+    # traceback, and an unknown bath kind was read as a tabulated bath
+    # without its omega
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed(small_cfg.to_dict(), case))
+    result = _run("validate", "--config", str(bad))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValidationError"
+    assert named in error["message"]
 
 
 def test_missing_config_exits_two(tmp_path):
@@ -401,19 +428,60 @@ def test_simulate_reproducible_across_runs_and_threads(tmp_path, config_path):
 
 def test_output_that_is_not_finite_exits_one_and_writes_nothing(
         tmp_path, small_cfg):
-    # an amplitude of 6e307 passes validation, but the walk overflows and
-    # the diffusion estimate is NaN, which JSON cannot hold
-    cfg = dataclasses.replace(small_cfg, dispersion=DispersionSpec(
-        "cosine_series", coefficients=(6e307,)))
+    # the largest amplitude validation admits, 2^240, with a coupling so
+    # weak that the walk stays ballistic: by t = 1e5 the fourth powers of
+    # the positions that the standard errors sum overflow to inf, which
+    # JSON cannot hold
+    cfg = dataclasses.replace(
+        small_cfg, dispersion=DispersionSpec("cosine_series",
+                                             coefficients=(2.0 ** 240,)),
+        spin=SpinSystem(levels=(0.0, 1.0),
+                        couplings=((0.0, 1e-20), (1e-20, 0.0))))
     out = tmp_path / "stats.json"
     result = _run("simulate", "--config", _write_config(tmp_path, cfg),
-                  "--traj", "256", "--tfinal", "1", "--out", str(out))
+                  "--traj", "256", "--tfinal", "1e5", "--out", str(out))
     assert result.returncode == 1
     error = json.loads(result.stderr.splitlines()[-1])
     assert error["error"] == "NumericError"
     assert error["message"].startswith(f"{out}: ")
-    assert "/diffusion/0/0" in error["message"]
+    assert "/diffusion_se/0/0" in error["message"]
     assert list(tmp_path.iterdir()) == [tmp_path / "model.json"]
+
+
+def test_velocity_outside_float_range_is_refused_before_any_run(
+        tmp_path, small_cfg):
+    # an amplitude of 6e307 passed validation; then `simulate` overflowed
+    # (exit 1, NaN at /diffusion/0/0) and `diffusion` failed late ("retry
+    # step 1.74e-312: h^2 underflows")
+    cfg = dataclasses.replace(small_cfg, dispersion=DispersionSpec(
+        "cosine_series", coefficients=(6e307,)))
+    config = _write_config(tmp_path, cfg)
+    report = tmp_path / "validate.json"
+    result = _run("validate", "--config", config, "--out", str(report))
+    assert result.returncode == 2
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert not checks["velocity_in_float_range"]["passed"]
+    assert "max |grad eps| = 6.000e+307" in \
+        checks["velocity_in_float_range"]["detail"]
+    for argv in (["diffusion"], ["simulate", "--traj", "256", "--tfinal", "1"]):
+        out = tmp_path / "out.json"
+        result = _run(*argv, "--config", config, "--out", str(out))
+        assert result.returncode == 2
+        [line] = result.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "ValidationError",
+            "message": "model validation failed: velocity_in_float_range"}
+        assert not out.exists()
+
+
+def test_too_weak_coupling_still_passes_validation(tmp_path, small_cfg):
+    # |W_01| = 1e-80 runs in float64: `simulate` exits 0, and `diffusion`
+    # ends in one JSON FDInconsistencyError (the test above at 1e-104)
+    config = _weakly_coupled(tmp_path, small_cfg, 1e-80)
+    result = _run("validate", "--config", config)
+    assert result.returncode == 0
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    assert checks["velocity_in_float_range"]["passed"]
 
 
 @pytest.mark.parametrize("files,where,fields", [

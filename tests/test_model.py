@@ -215,6 +215,28 @@ def test_flat_coefficient_list_is_broadcast_to_every_axis():
     assert rows.tolist() == [[1.0, 0.5], [1.0, 0.5]]
 
 
+def test_nearest_neighbor_dispersion_refuses_coefficients():
+    # a flat list was kept unconverted, and `to_dict` failed on it
+    assert DispersionSpec("nearest_neighbor", ()).coefficients == ()
+    with pytest.raises(ValidationError, match="dispersion.coefficients"):
+        DispersionSpec("nearest_neighbor", (1.0,))
+
+
+@pytest.mark.parametrize("amplitude,passed", [
+    (2.0 ** 240, True), (np.nextafter(2.0 ** 240, np.inf), False),
+    (6e307, False)], ids=["2^240", "above-2^240", "6e307"])
+def test_velocity_range_check_reads_the_largest_axis_speed(amplitude, passed):
+    # on N = 128 the axis points hold k = -pi / 2, where |sin k| = 1, so
+    # max |grad eps| is the amplitude itself
+    cfg = dataclasses.replace(reference_1d(), dispersion=DispersionSpec(
+        "cosine_series", coefficients=(amplitude,)))
+    checks = {c.name: c for c in validate_model(cfg).checks}
+    assert checks["velocity_in_float_range"].passed == passed
+    assert validate_model(cfg).passed == passed
+    assert f"max |grad eps| = {amplitude:.3e}" in \
+        checks["velocity_in_float_range"].detail
+
+
 @pytest.mark.parametrize("name", ["reference_1d", "reference_2d"])
 def test_reference_configs_match_presets(name):
     # the CLI and the benchmark read these files; the tests build the presets

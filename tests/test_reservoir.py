@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.special import hyp0f1, jv, roots_jacobi
 
 from latticediff import reservoir
 from latticediff.model import SpinSystem
+from latticediff.presets import reference_1d
 from latticediff.reservoir import (BathProfile, QuadratureError,
                                    check_subluminal_decay,
                                    check_time_integrability,
@@ -259,10 +262,22 @@ def test_refinement_check_allows_roundoff_only(rule):
 
 def test_cone_decay_fit_passes(bath4):
     fit = check_subluminal_decay(bath4, 0.5, 20.0)
+    assert fit.resolved_samples == 20
     assert fit.rate > 0
     assert fit.r_squared >= 0.95
     assert fit.passed
     assert fit.warning == ""
+
+
+def test_cone_decay_below_roundoff_is_unresolved_not_failed():
+    # reference_1d's bath decays below the unchecked rule's roundoff floor
+    # n_terms eps |psi(0, 0)| after t = 10 (t = 15 reads 1.2e-13 of
+    # |psi(0, 0)| against 8.8e-13): 2 of the 20 cone samples are resolved,
+    # and a line fitted through the other 18 fits quadrature noise
+    fit = check_subluminal_decay(reference_1d().bath, 0.5, 100.0)
+    assert fit.resolved_samples == 2
+    assert (fit.rate, fit.r_squared, fit.passed) == (None, None, None)
+    json.dumps(dataclasses.asdict(fit), allow_nan=False)
 
 
 def test_origin_line_decays_as_cone_subset(bath4, monkeypatch):

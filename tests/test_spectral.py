@@ -14,7 +14,7 @@ from latticediff.model import (DispersionSpec, GridSpec, ModelConfig,
                                SpinSystem, dispersion_grad, validate_model)
 from latticediff.presets import reference_1d, reference_2d
 from latticediff.reservoir import BathProfile
-from latticediff.spectral import (TrackingLossError, coherence_top,
+from latticediff.spectral import (TrackingLossError,
                                   diffusion_tensor_continuum,
                                   diffusion_tensor_formula,
                                   diffusion_tensor_hessian, perron_curve,
@@ -114,11 +114,11 @@ def test_gaps_positive_and_coherence_exact(ref1d, ref1d_table, gaps):
     assert gaps.p_star > 0
     rates = np.sort(ref1d_table.transition_matrix().sum(axis=1))
     expected = -0.5 * (rates[0] + rates[1])
-    for bohr in (1.0, -1.0):
+    # the dense coherence block of each channel, found by `_level_pair`
+    assert sorted(gaps.coherence_tops) == [-1.0, 1.0]
+    for bohr, top in gaps.coherence_tops.items():
         block = assemble_fiber(ref1d, ref1d_table, np.zeros(1), bohr)
-        top = float(np.diag(block.matrix).real.max())
-        assert top == coherence_top(ref1d_table, bohr)
-        assert top == expected
+        assert float(np.diag(block.matrix).real.max()) == top == expected
 
 
 def test_gap_refinement_stability_two_dimensions():
@@ -215,7 +215,7 @@ def _spy(monkeypatch, name):
 
 
 def _top(cfg, table, p, block):
-    """The tracked eigenvalue of a sector of M(p), as `_hessian_once` finds it."""
+    """The tracked eigenvalue of a sector of M(p), as the Hessian finds it."""
     return spectral._rayleigh(block, spectral._start_vector(table, block),
                               generator._left_map(cfg, table, p))[0]
 
@@ -242,28 +242,88 @@ def _lifted(dim, n_k, m_dir=16):
 
 
 def _assert_hessian_sectors(cfg, monkeypatch):
-    """The Hessian builds the center and d axis pairs at each of its two
-    steps: x_F = 0 sectors of L rows, then L N rows, and no dense fiber."""
+    """The Hessian builds the center once, then d axis pairs at each of its
+    two steps: an x_F = 0 sector of L rows, then 4d of L N rows, and no
+    dense fiber."""
     table = build_rate_table(cfg)
     fibers = _spy(monkeypatch, "assemble_fiber")
     sectors = _spy(monkeypatch, "_sectors")
     diffusion_tensor_hessian(cfg, table)
     assert fibers == []
     n_lvl, n_k = len(table.levels), cfg.grid.points_per_axis
-    rows = [n_lvl] + [n_lvl * n_k] * (2 * cfg.dim)
-    assert [stack.shape for _, stack in sectors] == \
-        [(1, r, r) for r in rows] * 2
+    rows = [n_lvl] + [n_lvl * n_k] * (4 * cfg.dim)
+    assert [stack.shape for _, stack in sectors] == [(1, r, r) for r in rows]
 
 
 def test_hessian_builds_only_zero_sectors_without_dense_fibers(ref2d,
                                                                 monkeypatch):
-    # center and 2 axis pairs, at each of the two steps: 10 sectors
+    # the center, then 2 axis pairs at each of the two steps: 9 sectors
     _assert_hessian_sectors(ref2d, monkeypatch)
 
 
 def test_hessian_builds_only_axis_sectors_in_three_dimensions(monkeypatch):
-    # 14 sectors of at most L N rows; oblique points would add 24 of L N^2
+    # 13 sectors of at most L N rows; oblique points would add 24 of L N^2
     _assert_hessian_sectors(_lifted(3, 8), monkeypatch)
+
+
+@pytest.mark.parametrize("make,steps", [
+    (reference_1d, 1), (reference_2d, 1), (lambda: _lifted(3, 16), 1),
+    (lambda: _weakly_coupled(1 / 32), 2),
+], ids=["1d", "2d", "3d-16", "w-1/32-retry"])
+def test_hessian_solves_the_center_once_per_tensor(make, steps, monkeypatch):
+    # 4d + 1 Rayleigh runs a step size pair, 4d more on the retry, and one
+    # of them, the first, on the L x L center
+    cfg = make()
+    table = build_rate_table(cfg)
+    rayleigh = _spy(monkeypatch, "_rayleigh")
+    diffusion_tensor_hessian(cfg, table)
+    n_lvl = len(table.levels)
+    sizes = [len(args[0]) for args, _ in rayleigh]
+    assert len(sizes) == 1 + 4 * cfg.dim * steps
+    assert sizes[0] == n_lvl and sizes[1:].count(n_lvl) == 0
+
+
+def _two_center_hessian(cfg, table):
+    """The Hessian as it was computed before the center was solved once
+    per tensor: each step of each pair solves its own center."""
+    def once(h):
+        zero, axes = np.zeros(cfg.dim), h * np.eye(cfg.dim)
+        center = _top(cfg, table, zero,
+                      generator._sectors(cfg, table, zero, [0])[0])
+        fp, fm = (np.array([_top(cfg, table, v, generator._sectors(
+            cfg, table, v, [0])[0]) for v in vs]) for vs in (axes, -axes))
+        return (fp - fm) / (2 * h), np.diag((fp + fm - 2 * center) / h ** 2)
+
+    h = 1e-3
+    for retry in (False, True):
+        if retry:
+            zero = np.zeros(cfg.dim)
+            gap0 = -spectral._spectrum_top(cfg, table, zero, 0.0)[1]
+            h = 1e-3 * gap0 / spectral._max_velocity(cfg)
+        (grad_h, hess_h), (grad_2, hess_2) = once(h), once(h / 2)
+        tensor = (hess_h - 4.0 * hess_2) / 3.0
+        defect = float(np.abs(hess_2 - hess_h).max()) / max(
+            float(np.abs(tensor).max()), 1e-300)
+        if not defect > 1e-4:
+            return (tensor, float(np.abs(np.concatenate([grad_h, grad_2])).max()),
+                    defect)
+    raise AssertionError("the two-center oracle failed its gate")
+
+
+@pytest.mark.parametrize("make", [
+    reference_1d, reference_2d, lambda: _lifted(3, 16),
+    lambda: _weakly_coupled(1 / 32),
+], ids=["1d", "2d", "3d-16", "w-1/32-retry"])
+def test_one_center_hessian_equals_the_two_center_one_bitwise(make):
+    # the center is the same call on the same vector, so one solve of it
+    # moves no bit of the tensor, the gradient norm or the defect
+    cfg = make()
+    table = build_rate_table(cfg)
+    result = diffusion_tensor_hessian(cfg, table)
+    tensor, grad_norm, defect = _two_center_hessian(cfg, table)
+    assert result.tensor.tobytes() == tensor.tobytes()
+    assert (result.gradient_norm, result.richardson_defect) == \
+        (grad_norm, defect)
 
 
 @pytest.mark.parametrize("make,p", [
@@ -338,7 +398,7 @@ def test_each_rayleigh_sweep_solves_once(ref2d, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(spectral, "_left_map", spy_left_map)
     diffusion_tensor_hessian(ref2d, build_rate_table(ref2d))
-    assert count["quotients"] >= 10  # 5 points at each of 2 steps
+    assert count["quotients"] >= 9  # the center, then 4 points at 2 steps
     assert count["solves"] == count["nudges"] + count["quotients"]
 
 
@@ -404,7 +464,7 @@ def test_hessian_matches_formula_beyond_two_dimensions(dim, n_k):
 def _assert_reflection_symmetric(cfg, p):
     """M(R_j p) is M(p) with the modes relabelled x_j -> -x_j (mod N) on
     every level, for each axis j, and the two top eigenvalues agree:
-    lambda(p) is even in each p_j, as `_hessian_once` states."""
+    lambda(p) is even in each p_j, as `diffusion_tensor_hessian` states."""
     table = build_rate_table(cfg)
     d, n_k = cfg.dim, cfg.grid.points_per_axis
     block = generator._sectors(cfg, table, p)[0]
